@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Time the compiled kernels against their pure-numpy fallbacks.
+"""Time the compiled simulator kernel against its pure-numpy fallback.
 
-Both implementations of each kernel are importable regardless of which one
-the package dispatches to, so this script races them in one process:
+Both implementations are importable regardless of which one the package
+dispatches to, so this script races them in one process:
 
-    python3 benchmarks/bench_backends.py --events 10000000
+    python3 benchmarks/bench_backends.py --frames 120 --side 128
 
-The simulator benchmark reports generated events per second; the field
-kernels report input events per second.
+It reports generated events per second.
 """
 
 import argparse
@@ -30,7 +29,6 @@ def best_time(fn, args, repeat):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--events", type=int, default=10_000_000, help="field kernel input size")
     parser.add_argument("--frames", type=int, default=120, help="simulator scene length")
     parser.add_argument("--side", type=int, default=128, help="sensor width and height")
     parser.add_argument("--repeat", type=int, default=3, help="timed repetitions (best wins)")
@@ -41,34 +39,21 @@ def main():
         return
 
     rng = np.random.default_rng(0)
-    n, side = args.events, args.side
-    x = rng.integers(0, side, size=n, dtype=np.int32)
-    y = rng.integers(0, side, size=n, dtype=np.int32)
-    t = np.arange(n, dtype=np.int64)
-
+    side = args.side
     log_frames = np.ascontiguousarray(
         np.cumsum(rng.normal(0.0, 0.2, size=(args.frames, side, side)), axis=0)
     )
     times = np.arange(args.frames, dtype=np.int64) * 10_000
-    n_generated = len(_kernels.simulate_crossings_numpy(log_frames, times, 0.2, 0.0)[0])
+    call_args = (log_frames, times, 0.2, 0.0)
+    n_generated = len(_kernels.simulate_crossings_numpy(*call_args)[0])
 
-    rows = [
-        ("count_field", _kernels._count_field_jit, _kernels.count_field_numpy,
-         (x, y, side, side), n),
-        ("last_timestamp_field", _kernels._last_timestamp_jit, _kernels.last_timestamp_field_numpy,
-         (x, y, t, side, side), n),
-        ("simulate_crossings", _kernels._simulate_jit, _kernels.simulate_crossings_numpy,
-         (log_frames, times, 0.2, 0.0), n_generated),
-    ]
-
+    t_jit = best_time(_kernels._simulate_jit, call_args, args.repeat)
+    t_np = best_time(_kernels.simulate_crossings_numpy, call_args, args.repeat)
     print(f"{'kernel':<22} {'numba':>12} {'numpy':>12} {'speedup':>8}")
-    for name, jit_fn, numpy_fn, call_args, volume in rows:
-        t_jit = best_time(jit_fn, call_args, args.repeat)
-        t_np = best_time(numpy_fn, call_args, args.repeat)
-        print(
-            f"{name:<22} {volume / t_jit / 1e6:>9.1f} M/s {volume / t_np / 1e6:>9.1f} M/s"
-            f" {t_np / t_jit:>7.1f}x"
-        )
+    print(
+        f"{'simulate_crossings':<22} {n_generated / t_jit / 1e6:>9.1f} M/s"
+        f" {n_generated / t_np / 1e6:>9.1f} M/s {t_np / t_jit:>7.1f}x"
+    )
 
 
 if __name__ == "__main__":

@@ -25,8 +25,7 @@ from .encoders import (
     POLARITY_IGNORE,
     POLARITY_MERGED,
     EncodedFrame,
-    encode_merged,
-    encode_single,
+    encode_window,
     event_count_field,
     quantize,
     timestamp_field,
@@ -51,7 +50,7 @@ from .ingest import (
     parse_text,
     write_text,
 )
-from .pipeline import encode_stream, encode_window
+from .pipeline import encode_stream
 from .scoring import ScoreVector, VideoPrediction, temporal_average_pool
 from .simulator import SimConfig, simulate
 from .stream import (
@@ -99,8 +98,6 @@ __all__ = [
     "Violation",
     "WindowConfig",
     "apply_empty_policy",
-    "encode_merged",
-    "encode_single",
     "encode_stream",
     "encode_window",
     "event_count_field",

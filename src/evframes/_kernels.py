@@ -1,11 +1,14 @@
-"""Hot inner loops, compiled with numba when available.
+"""The simulator's crossing generator, compiled with numba when available.
 
-Every kernel exists twice: a plain-Python loop compiled with ``@njit``
-(nogil, cached) and a vectorized pure-numpy fallback. The dispatched name
-(``count_field``, ``last_timestamp_field``, ``simulate_crossings``) points at
-the numba build unless numba is missing or ``EVFRAMES_NUMBA`` is set to
-``0``/``false``/``off``/``no`` (any case). Both paths produce bit-identical
-results; ``benchmarks/bench_backends.py`` compares their speed.
+It exists twice: a plain-Python loop compiled with ``@njit`` (nogil,
+cached) and a vectorized pure-numpy fallback. The dispatched name
+``simulate_crossings`` points at the numba build unless numba is missing or
+``EVFRAMES_NUMBA`` is set to ``0``/``false``/``off``/``no`` (any case). Both
+paths produce bit-identical results; ``benchmarks/bench_backends.py``
+compares their speed.
+
+The per-pixel count and latest-timestamp loops are the test oracles for the
+encoders' vectorized fields; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -38,14 +41,6 @@ def _count_field_loop(x, y, width, height):
     return out
 
 
-def count_field_numpy(x, y, width, height):
-    """Per-pixel event counts as an (H, W) int64 array."""
-    if x.shape[0] == 0:
-        return np.zeros((height, width), dtype=np.int64)
-    lin = y.astype(np.int64) * width + x
-    return np.bincount(lin, minlength=width * height).reshape(height, width)
-
-
 # ---------------------------------------------------------------------------
 # Per-pixel latest timestamp
 # ---------------------------------------------------------------------------
@@ -56,14 +51,6 @@ def _last_timestamp_loop(x, y, t, width, height):
     for i in range(x.shape[0]):
         if t[i] > out[y[i], x[i]]:
             out[y[i], x[i]] = t[i]
-    return out
-
-
-def last_timestamp_field_numpy(x, y, t, width, height):
-    """Latest event timestamp per pixel ((H, W) int64); -1 where no events."""
-    out = np.full((height, width), -1, dtype=np.int64)
-    if x.shape[0]:
-        np.maximum.at(out, (y, x), t)
     return out
 
 
@@ -224,16 +211,9 @@ def simulate_crossings_numpy(log_frames, times_us, threshold, refractory_us):
 # ---------------------------------------------------------------------------
 
 if NUMBA_ENABLED:
-    _count_field_jit = njit(cache=True, nogil=True)(_count_field_loop)
-    _last_timestamp_jit = njit(cache=True, nogil=True)(_last_timestamp_loop)
     _simulate_jit = njit(cache=True, nogil=True)(_simulate_crossings_loop)
-
-    count_field = _count_field_jit
-    last_timestamp_field = _last_timestamp_jit
     simulate_crossings = _simulate_jit
     BACKEND = "numba"
 else:
-    count_field = count_field_numpy
-    last_timestamp_field = last_timestamp_field_numpy
     simulate_crossings = simulate_crossings_numpy
     BACKEND = "numpy"

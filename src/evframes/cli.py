@@ -137,7 +137,6 @@ def cmd_encode(args) -> int:
         WindowConfig(args.window_us),
         kind=_KINDS[args.kind],
         polarity_mode=args.polarity,
-        threads=args.threads,
     )
     channels = 3 if args.polarity == POLARITY_MERGED else 1
     shape = (stream.geometry.height, stream.geometry.width, channels)
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=POLARITY_MERGED,
         help="merged keeps polarities in separate channels; ignore pools them",
     )
-    p.add_argument("--threads", type=_positive_int, default=1, help="windows encoded in parallel")
     p.add_argument(
         "--emit-images",
         metavar="DIR",

@@ -10,12 +10,15 @@ Two scalar fields are supported, optionally restricted to one polarity:
   (the end of activity).
 * event count field: a per-pixel event histogram.
 
-``encode_merged`` renders the positive and negative fields into channels 0
-and 1 of a 3-channel 8-bit frame (channel 2 stays zero); ``encode_single``
-ignores polarity and produces 1 channel. Quantization maps v to
-round(255 * v / v_max) with round-half-up; v_max is fixed at 1.0 for the
-timestamp kind and is the joint maximum over both polarity fields for the
-count kind, so each frame is self-normalized.
+``encode_window`` renders a window in polarity mode ``merged`` (positive
+events in channel 0, negative in channel 1, channel 2 zero, of a 3-channel
+8-bit frame) or ``ignore`` (1 channel, all events pooled). Quantization maps
+v to round(255 * v / v_max) with round-half-up; v_max is fixed at 1.0 for
+the timestamp kind and is the joint maximum over both polarity fields for
+the count kind, so each frame is self-normalized.
+
+Frames and fields come from one scatter: every event of the window gets its
+raster cell and a value, and each cell keeps the largest value it receives.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .windowing import EventWindow
 
 KIND_TIMESTAMP = "timestamp"
@@ -81,11 +83,36 @@ class EncodedFrame:
         )
 
 
-def _filtered_columns(window: EventWindow, polarity: int | None):
-    if polarity is None:
-        return window.x, window.y, window.t
-    mask = window.p == polarity
-    return window.x[mask], window.y[mask], window.t[mask]
+def _scatter(window: EventWindow, kind: str, channels: int):
+    """Each event's cell in the row-major (H, W, channels) raster, its value, and v_max.
+
+    With more than one channel, negative events go to channel 1 and positive
+    ones to channel 0. A timestamp value is the event's normalized time (1.0
+    when all events share one timestamp), so the per-cell maximum is the
+    pixel's latest event; a count value is the event's own cell count, the
+    same for every event of a cell. v_max is 1.0 for timestamps and the
+    largest count (the joint maximum over channels) for counts.
+    """
+    cell = window.y.astype(np.int64) * window.geometry.width + window.x
+    if channels > 1:
+        cell = cell * channels + (window.p < 0)
+    if kind == KIND_EVENT_COUNT:
+        value = np.bincount(cell)[cell].astype(np.float64)
+        return cell, value, float(value.max())
+    t_begin, t_end = window.t_begin, window.t_end
+    if t_end == t_begin:
+        return cell, np.ones(len(cell)), 1.0
+    return cell, (window.t - t_begin) / (t_end - t_begin), 1.0
+
+
+def _field(window: EventWindow, kind: str, polarity: int | None) -> np.ndarray:
+    g = window.geometry
+    channels = 1 if polarity is None else 2
+    raster = np.zeros((g.height, g.width, channels))
+    if not window.empty:
+        cell, value, _ = _scatter(window, kind, channels)
+        np.maximum.at(raster.reshape(-1), cell, value)
+    return raster[..., 1 if polarity == -1 else 0]
 
 
 def timestamp_field(window: EventWindow, polarity: int | None = None) -> np.ndarray:
@@ -94,33 +121,12 @@ def timestamp_field(window: EventWindow, polarity: int | None = None) -> np.ndar
     ``polarity`` restricts which events update a pixel (+1, -1, or None for
     both); the normalization bounds always come from the whole window.
     """
-    g = window.geometry
-    field = np.zeros((g.height, g.width))
-    if window.empty:
-        return field
-    x, y, t = _filtered_columns(window, polarity)
-    if len(t) == 0:
-        return field
-    last = _kernels.last_timestamp_field(x, y, t, g.width, g.height)
-    active = last >= 0
-    t_begin, t_end = window.t_begin, window.t_end
-    if t_end == t_begin:
-        field[active] = 1.0
-    else:
-        field[active] = (last[active] - t_begin) / (t_end - t_begin)
-    return field
+    return _field(window, KIND_TIMESTAMP, polarity)
 
 
 def event_count_field(window: EventWindow, polarity: int | None = None) -> np.ndarray:
     """Per-pixel event count as an (H, W) float64 array."""
-    g = window.geometry
-    x, y, _ = _filtered_columns(window, polarity)
-    if len(x) == 0:
-        return np.zeros((g.height, g.width))
-    return _kernels.count_field(x, y, g.width, g.height).astype(np.float64)
-
-
-_FIELD_FN = {KIND_TIMESTAMP: timestamp_field, KIND_EVENT_COUNT: event_count_field}
+    return _field(window, KIND_EVENT_COUNT, polarity)
 
 
 def quantize(field: np.ndarray, v_max: float) -> np.ndarray:
@@ -135,38 +141,25 @@ def quantize(field: np.ndarray, v_max: float) -> np.ndarray:
     return np.floor(field * 255.0 / v_max + 0.5).astype(np.uint8)
 
 
-def encode_merged(window: EventWindow, kind: str) -> EncodedFrame:
-    """Render positive and negative fields into channels 0/1 of a 3-channel frame.
+_CHANNELS = {POLARITY_MERGED: 3, POLARITY_IGNORE: 1}
 
-    Both channels share one quantization scale (joint maximum for the count
-    kind, fixed 1.0 for the timestamp kind), so negating every polarity
-    swaps the two channels exactly. Channel 2 is always zero.
+
+def encode_window(window: EventWindow, kind: str, polarity_mode: str) -> EncodedFrame:
+    """Encode one window as a 3-channel (merged) or 1-channel (ignore) frame.
+
+    Each event's quantized value is scattered into its cell with a maximum.
+    That equals quantizing the field, because quantize is monotone and
+    every value is >= 0, so untouched cells stay at the field's 0.
     """
-    field_fn = _field_fn(kind)
-    pos = field_fn(window, 1)
-    neg = field_fn(window, -1)
-    v_max = 1.0 if kind == KIND_TIMESTAMP else max(float(pos.max()), float(neg.max()))
+    if polarity_mode not in _CHANNELS:
+        raise ValueError(f"unknown polarity mode {polarity_mode!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown frame kind {kind!r}, expected one of {KINDS}")
     g = window.geometry
-    pixels = np.zeros((g.height, g.width, 3), dtype=np.uint8)
-    pixels[..., 0] = quantize(pos, v_max)
-    pixels[..., 1] = quantize(neg, v_max)
+    pixels = np.zeros((g.height, g.width, _CHANNELS[polarity_mode]), dtype=np.uint8)
+    if not window.empty:
+        cell, value, v_max = _scatter(window, kind, pixels.shape[2])
+        np.maximum.at(pixels.reshape(-1), cell, quantize(value, v_max))
     return EncodedFrame(
-        pixels, kind, POLARITY_MERGED, window.window_start, window.window_end, window.empty
+        pixels, kind, polarity_mode, window.window_start, window.window_end, window.empty
     )
-
-
-def encode_single(window: EventWindow, kind: str) -> EncodedFrame:
-    """Render the polarity-blind field into a 1-channel frame."""
-    field = _field_fn(kind)(window, None)
-    v_max = 1.0 if kind == KIND_TIMESTAMP else float(field.max())
-    pixels = quantize(field, v_max)[..., np.newaxis]
-    return EncodedFrame(
-        pixels, kind, POLARITY_IGNORE, window.window_start, window.window_end, window.empty
-    )
-
-
-def _field_fn(kind: str):
-    try:
-        return _FIELD_FN[kind]
-    except KeyError:
-        raise ValueError(f"unknown frame kind {kind!r}, expected one of {KINDS}") from None

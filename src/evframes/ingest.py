@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stream import EventStream, SensorGeometry
+from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
 
 _WRAP_STEP = 1 << 32
 _WRAP_JUMP = 1 << 31
@@ -195,8 +195,8 @@ def parse_text(text: str, geometry: SensorGeometry) -> EventStream:
 
     Fields may be separated by whitespace or commas; ``#`` lines are
     comments; polarity 0 is read as -1. Raises FormatError with a 1-based
-    line number for malformed lines, out-of-bounds coordinates, or
-    timestamps that move backward.
+    line number for malformed lines, out-of-bounds coordinates, timestamps
+    outside [0, 2**63 - 1], or timestamps that move backward.
     """
     ts, xs, ys, ps = [], [], [], []
     prev_t = None
@@ -217,6 +217,8 @@ def parse_text(text: str, geometry: SensorGeometry) -> EventStream:
             raise FormatError(f"line {lineno}: polarity must be 1, -1 or 0, got {p}")
         if t < 0:
             raise FormatError(f"line {lineno}: negative timestamp {t}")
+        if t > MAX_TIMESTAMP_US:
+            raise FormatError(f"line {lineno}: timestamp {t} beyond the int64 range")
         if not (0 <= x < geometry.width and 0 <= y < geometry.height):
             raise FormatError(
                 f"line {lineno}: coordinate ({x}, {y}) outside "

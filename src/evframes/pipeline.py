@@ -1,33 +1,10 @@
-"""Stream-to-frames pipeline: segment into windows, encode each window.
-
-Windows are independent, so encoding can fan out over a thread pool; the
-numeric kernels release the GIL under the compiled backend. Results are
-returned in window order regardless of scheduling, so output is identical
-for any thread count.
-"""
+"""Stream-to-frames pipeline: segment into windows, encode each window."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
-from .encoders import (
-    POLARITY_IGNORE,
-    POLARITY_MERGED,
-    EncodedFrame,
-    encode_merged,
-    encode_single,
-)
+from .encoders import POLARITY_MERGED, EncodedFrame, encode_window
 from .stream import EventStream
-from .windowing import EventWindow, WindowConfig, segment
-
-
-def encode_window(window: EventWindow, kind: str, polarity_mode: str) -> EncodedFrame:
-    """Encode one window as a 3-channel (merged) or 1-channel (ignore) frame."""
-    if polarity_mode == POLARITY_MERGED:
-        return encode_merged(window, kind)
-    if polarity_mode == POLARITY_IGNORE:
-        return encode_single(window, kind)
-    raise ValueError(f"unknown polarity mode {polarity_mode!r}")
+from .windowing import WindowConfig, segment
 
 
 def encode_stream(
@@ -35,13 +12,6 @@ def encode_stream(
     config: WindowConfig = WindowConfig(),
     kind: str = "timestamp",
     polarity_mode: str = POLARITY_MERGED,
-    threads: int = 1,
 ) -> list[EncodedFrame]:
     """Segment a stream and encode every window; one frame per window."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    windows = segment(stream, config)
-    if threads == 1 or len(windows) < 2:
-        return [encode_window(w, kind, polarity_mode) for w in windows]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda w: encode_window(w, kind, polarity_mode), windows))
+    return [encode_window(w, kind, polarity_mode) for w in segment(stream, config)]

@@ -16,6 +16,10 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 
+# Largest timestamp (us) an int64 column, and the frame tensor's window edges, can hold.
+MAX_TIMESTAMP_US = int(np.iinfo(np.int64).max)
+
+
 class Event(NamedTuple):
     """One sensor spike: pixel column/row, timestamp (us), polarity (+1/-1)."""
 

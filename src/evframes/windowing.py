@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stream import EventStream, SensorGeometry
+from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
 
 DEFAULT_WINDOW_US = 80_000
 
@@ -86,7 +86,8 @@ def segment(stream: EventStream, config: WindowConfig = WindowConfig()) -> list[
 
     Window k covers [t_first + k*T, t_first + (k+1)*T); every event lands in
     exactly one window and the window count is ceil((t_last - t_first + 1)/T).
-    An empty stream yields no windows.
+    An empty stream yields no windows. Raises ValueError when the last
+    window's end would not fit in int64.
     """
     if len(stream) == 0:
         return []
@@ -94,6 +95,13 @@ def segment(stream: EventStream, config: WindowConfig = WindowConfig()) -> list[
     t_first = stream.t_first
     span = stream.t_last - t_first
     n_windows = (span + T) // T  # == ceil((span + 1) / T)
+    # Python ints cannot wrap; the int64 edges below (and the frame tensor) can.
+    last_edge = t_first + n_windows * T
+    if last_edge > MAX_TIMESTAMP_US:
+        raise ValueError(
+            f"last window would end at {last_edge}, beyond the int64 range "
+            f"(events {t_first}..{stream.t_last}, window {T} us)"
+        )
 
     edges = t_first + T * np.arange(n_windows + 1, dtype=np.int64)
     cuts = np.searchsorted(stream.t, edges, side="left")

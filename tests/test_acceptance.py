@@ -29,7 +29,7 @@ from evframes.encoders import (
     KIND_TIMESTAMP,
     POLARITY_MERGED,
     EncodedFrame,
-    encode_merged,
+    encode_window,
     event_count_field,
     timestamp_field,
 )
@@ -193,8 +193,8 @@ def test_criterion_03_polarity_symmetry():
             w.geometry, w.x, w.y, w.t, (-w.p).astype(np.int8), w.window_start, w.window_end
         )
         kind = (KIND_TIMESTAMP, KIND_EVENT_COUNT)[i % 2]
-        a = encode_merged(w, kind).pixels
-        b = encode_merged(flipped, kind).pixels
+        a = encode_window(w, kind, POLARITY_MERGED).pixels
+        b = encode_window(flipped, kind, POLARITY_MERGED).pixels
         assert np.array_equal(b[..., 0], a[..., 1])
         assert np.array_equal(b[..., 1], a[..., 0])
         assert not b[..., 2].any() and not a[..., 2].any()

@@ -113,9 +113,9 @@ class TestEncode:
         src = tmp_path / "ev.txt"
         write_events(src, lines)
         outputs = []
-        for name, threads in [("a", 1), ("b", 1), ("c", 4)]:
+        for name in ("a", "b", "c"):
             out = tmp_path / f"{name}.evfr"
-            assert run("encode", src, out, "--geometry", "32x32", "--threads", threads) == 0
+            assert run("encode", src, out, "--geometry", "32x32") == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -305,6 +305,22 @@ class TestExitCodes:
         src.write_text("not an event line\n")
         assert run("info", src) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_text_timestamp_beyond_int64_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "ev.txt"
+        src.write_text(f"{2**70} 1 1 1\n")
+        assert run("info", src) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evframes: line 1:") and err.count("\n") == 1
+
+    def test_window_edge_beyond_int64_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "ev.txt"
+        write_events(src, ["9223372036854775000 1 1 1", "9223372036854775800 2 2 -1"])
+        out = tmp_path / "frames.evfr"
+        assert run("encode", src, out, "--window-us", 1000) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evframes:") and "int64" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,10 @@ import pytest
 from evframes.encoders import (
     KIND_EVENT_COUNT,
     KIND_TIMESTAMP,
+    POLARITY_IGNORE,
+    POLARITY_MERGED,
     EncodedFrame,
-    encode_merged,
-    encode_single,
+    encode_window,
     event_count_field,
     quantize,
     timestamp_field,
@@ -220,7 +221,7 @@ class TestQuantize:
 class TestEncodeMerged:
     def test_positive_only_leaves_channel1_zero(self):
         w = window_from_events([(1, 1, 10, 1), (2, 2, 20, 1)], 0, 100, GEOM)
-        frame = encode_merged(w, KIND_TIMESTAMP)
+        frame = encode_window(w, KIND_TIMESTAMP, POLARITY_MERGED)
         assert frame.channels == 3
         assert frame.pixels[..., 1].sum() == 0
         assert frame.pixels[..., 2].sum() == 0
@@ -230,7 +231,7 @@ class TestEncodeMerged:
         w = window_from_events(
             [(0, 0, 0, 1), (3, 4, 50_000, 1), (7, 7, 80_000, 1)], 0, 80_001, GEOM
         )
-        frame = encode_merged(w, KIND_TIMESTAMP)
+        frame = encode_window(w, KIND_TIMESTAMP, POLARITY_MERGED)
         assert frame.pixels[4, 3, 0] == 159  # round(255 * 0.625)
 
     def test_count_joint_normalization(self):
@@ -240,7 +241,7 @@ class TestEncodeMerged:
         events += [(2, 2, t, 1) for t in (5, 6)]
         events += [(3, 3, 7, -1)]
         w = window_from_events(events, 0, 100, GEOM)
-        frame = encode_merged(w, KIND_EVENT_COUNT)
+        frame = encode_window(w, KIND_EVENT_COUNT, POLARITY_MERGED)
         assert frame.pixels[1, 1, 0] == 255
         assert frame.pixels[2, 2, 0] == 128
         assert frame.pixels[3, 3, 1] == 64
@@ -254,20 +255,20 @@ class TestEncodeMerged:
                     w.geometry, w.x, w.y, w.t, (-w.p).astype(np.int8),
                     w.window_start, w.window_end,
                 )
-                a = encode_merged(w, kind)
-                b = encode_merged(flipped, kind)
+                a = encode_window(w, kind, POLARITY_MERGED)
+                b = encode_window(flipped, kind, POLARITY_MERGED)
                 assert np.array_equal(a.pixels[..., 0], b.pixels[..., 1])
                 assert np.array_equal(a.pixels[..., 1], b.pixels[..., 0])
 
     def test_empty_window_flagged(self):
         w = window_from_events([], 0, 100, GEOM)
-        frame = encode_merged(w, KIND_EVENT_COUNT)
+        frame = encode_window(w, KIND_EVENT_COUNT, POLARITY_MERGED)
         assert frame.empty
         assert frame.pixels.sum() == 0
 
     def test_nonempty_window_not_flagged_and_not_all_zero(self):
         w = window_from_events([(0, 0, 5, -1)], 0, 100, GEOM)
-        frame = encode_merged(w, KIND_TIMESTAMP)
+        frame = encode_window(w, KIND_TIMESTAMP, POLARITY_MERGED)
         assert not frame.empty
         assert frame.pixels.sum() > 0
 
@@ -275,7 +276,7 @@ class TestEncodeMerged:
 class TestEncodeSingle:
     def test_one_channel(self):
         w = window_from_events([(1, 1, 10, 1), (1, 1, 20, -1)], 0, 100, GEOM)
-        frame = encode_single(w, KIND_EVENT_COUNT)
+        frame = encode_window(w, KIND_EVENT_COUNT, POLARITY_IGNORE)
         assert frame.channels == 1
         assert frame.polarity_mode == "ignore"
         assert frame.pixels[1, 1, 0] == 255  # count 2 of max 2
@@ -283,14 +284,14 @@ class TestEncodeSingle:
     def test_counts_both_polarities(self):
         w = window_from_events([(1, 1, 10, 1), (1, 1, 20, -1), (2, 2, 30, 1)], 0, 100, GEOM)
         field = event_count_field(w)
-        frame = encode_single(w, KIND_EVENT_COUNT)
+        frame = encode_window(w, KIND_EVENT_COUNT, POLARITY_IGNORE)
         assert field[1, 1] == 2
         assert frame.pixels[2, 2, 0] == 128  # round(255 * 1/2)
 
     def test_unknown_kind_rejected(self):
         w = window_from_events([(1, 1, 10, 1)], 0, 100, GEOM)
         with pytest.raises(ValueError, match="unknown frame kind"):
-            encode_single(w, "voxel")
+            encode_window(w, "voxel", POLARITY_IGNORE)
 
 
 class TestFrameInvariants:
@@ -298,12 +299,19 @@ class TestFrameInvariants:
         rng = np.random.default_rng(7)
         for _ in range(10):
             w = random_window(rng)
-            for frame in (encode_merged(w, KIND_TIMESTAMP), encode_single(w, KIND_EVENT_COUNT)):
+            for frame in (
+                encode_window(w, KIND_TIMESTAMP, POLARITY_MERGED),
+                encode_window(w, KIND_EVENT_COUNT, POLARITY_IGNORE),
+            ):
                 assert frame.pixels.dtype == np.uint8
                 assert frame.width == w.geometry.width
                 assert frame.height == w.geometry.height
 
     def test_frame_equality(self):
         w = window_from_events([(1, 1, 10, 1)], 0, 100, GEOM)
-        assert encode_merged(w, KIND_TIMESTAMP) == encode_merged(w, KIND_TIMESTAMP)
-        assert encode_merged(w, KIND_TIMESTAMP) != encode_merged(w, KIND_EVENT_COUNT)
+        assert encode_window(w, KIND_TIMESTAMP, POLARITY_MERGED) == encode_window(
+            w, KIND_TIMESTAMP, POLARITY_MERGED
+        )
+        assert encode_window(w, KIND_TIMESTAMP, POLARITY_MERGED) != encode_window(
+            w, KIND_EVENT_COUNT, POLARITY_MERGED
+        )

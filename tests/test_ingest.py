@@ -189,6 +189,13 @@ class TestParseText:
         with pytest.raises(FormatError, match="line 2.*backward"):
             parse_text("10 1 1 1\n5 1 1 1\n", DVS128_GEOMETRY)
 
+    def test_timestamp_beyond_int64_rejected(self):
+        top = 2**63 - 1
+        assert parse_text(f"{top} 1 1 1\n", DVS128_GEOMETRY).t_last == top
+        for t in (top + 1, 2**70):
+            with pytest.raises(FormatError, match="line 2: timestamp .* int64"):
+                parse_text(f"0 1 1 1\n{t} 1 1 1\n", DVS128_GEOMETRY)
+
 
 class TestRoundTrip:
     def test_empty_stream(self):

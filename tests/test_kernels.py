@@ -1,9 +1,21 @@
-"""The compiled and pure-numpy kernel paths must agree bit for bit."""
+"""The plain-Python loops are the oracles for the vectorized and compiled paths."""
 
 import numpy as np
 import pytest
 
 from evframes import _kernels
+from evframes.encoders import (
+    KIND_EVENT_COUNT,
+    KIND_TIMESTAMP,
+    POLARITY_IGNORE,
+    POLARITY_MERGED,
+    event_count_field,
+    quantize,
+    timestamp_field,
+)
+from evframes.pipeline import encode_stream
+from evframes.stream import EventStream, SensorGeometry
+from evframes.windowing import EventWindow, WindowConfig, segment
 
 needs_numba = pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba backend disabled")
 
@@ -21,24 +33,88 @@ def random_scene(rng, n_frames=6, height=8, width=9):
     return np.ascontiguousarray(log_frames), times
 
 
+def random_window(rng, n, width, height):
+    x, y, t = random_events(rng, n, width, height)
+    p = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+    return EventWindow(SensorGeometry(width, height), x, y, t, p, 0, 1_000_000)
+
+
+def loop_field(window, kind, polarity):
+    """A window's field from the loop kernels, normalized as the encoders define it."""
+    g = window.geometry
+    keep = np.ones(len(window), dtype=bool) if polarity is None else window.p == polarity
+    x, y, t = window.x[keep], window.y[keep], window.t[keep]
+    if kind == KIND_EVENT_COUNT:
+        return _kernels._count_field_loop(x, y, g.width, g.height).astype(np.float64)
+    last = _kernels._last_timestamp_loop(x, y, t, g.width, g.height)
+    field = np.zeros((g.height, g.width))
+    active = last >= 0
+    if window.t_begin == window.t_end:
+        field[active] = 1.0
+    else:
+        field[active] = (last[active] - window.t_begin) / (window.t_end - window.t_begin)
+    return field
+
+
+def loop_frame(window, kind, polarity_mode):
+    """A window's uint8 pixels from loop fields: channel per polarity, shared scale."""
+    polarities = (1, -1) if polarity_mode == POLARITY_MERGED else (None,)
+    fields = [loop_field(window, kind, p) for p in polarities]
+    v_max = 1.0 if kind == KIND_TIMESTAMP else max(float(f.max()) for f in fields)
+    g = window.geometry
+    pixels = np.zeros((g.height, g.width, 3 if polarity_mode == POLARITY_MERGED else 1), np.uint8)
+    for c, field in enumerate(fields):
+        pixels[..., c] = quantize(field, v_max)
+    return pixels
+
+
 class TestLoopVsNumpy:
     """The plain-Python loops are the ground truth for the vectorized paths."""
 
     def test_count_field(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            x, y, t = random_events(rng, int(rng.integers(0, 500)), 13, 7)
-            a = _kernels._count_field_loop(x, y, 13, 7)
-            b = _kernels.count_field_numpy(x, y, 13, 7)
-            np.testing.assert_array_equal(a, b)
+            w = random_window(rng, int(rng.integers(0, 500)), 13, 7)
+            for polarity in (None, 1, -1):
+                a = loop_field(w, KIND_EVENT_COUNT, polarity)
+                b = event_count_field(w, polarity)
+                np.testing.assert_array_equal(a, b)
 
     def test_last_timestamp_field(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            x, y, t = random_events(rng, int(rng.integers(0, 500)), 13, 7)
-            a = _kernels._last_timestamp_loop(x, y, t, 13, 7)
-            b = _kernels.last_timestamp_field_numpy(x, y, t, 13, 7)
-            np.testing.assert_array_equal(a, b)
+            w = random_window(rng, int(rng.integers(0, 500)), 13, 7)
+            for polarity in (None, 1, -1):
+                a = loop_field(w, KIND_TIMESTAMP, polarity)
+                b = timestamp_field(w, polarity)
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", [KIND_TIMESTAMP, KIND_EVENT_COUNT])
+    @pytest.mark.parametrize("polarity_mode", [POLARITY_MERGED, POLARITY_IGNORE])
+    def test_encode_stream(self, kind, polarity_mode):
+        rng = np.random.default_rng(6)
+        for i in range(40):
+            width, height = (1, 1) if i % 4 == 0 else (int(rng.integers(1, 20)), 9)
+            n = int(rng.integers(2, 400))
+            T = int(rng.choice([1, 7, 1000]))
+            # Few distinct times repeat timestamps; a 10*T gap leaves interior windows empty.
+            t = np.sort(rng.integers(0, 60, size=n)) * T // 4
+            t[n // 2 :] += 10 * T
+            stream = EventStream(
+                SensorGeometry(width, height),
+                rng.integers(0, width, size=n),
+                rng.integers(0, height, size=n),
+                t,
+                rng.choice([-1, 1], size=n),
+            )
+            windows = segment(stream, WindowConfig(T))
+            frames = encode_stream(stream, WindowConfig(T), kind, polarity_mode)
+            assert any(w.empty for w in windows)
+            assert len(frames) == len(windows)
+            for frame, w in zip(frames, windows):
+                assert (frame.window_start, frame.window_end) == (w.window_start, w.window_end)
+                assert frame.empty == w.empty
+                np.testing.assert_array_equal(frame.pixels, loop_frame(w, kind, polarity_mode))
 
     def test_simulate_crossings(self):
         rng = np.random.default_rng(2)
@@ -52,21 +128,6 @@ class TestLoopVsNumpy:
 
 @needs_numba
 class TestJitVsNumpy:
-    def test_count_field(self):
-        rng = np.random.default_rng(3)
-        x, y, t = random_events(rng, 1000, 16, 16)
-        np.testing.assert_array_equal(
-            _kernels._count_field_jit(x, y, 16, 16), _kernels.count_field_numpy(x, y, 16, 16)
-        )
-
-    def test_last_timestamp_field(self):
-        rng = np.random.default_rng(4)
-        x, y, t = random_events(rng, 1000, 16, 16)
-        np.testing.assert_array_equal(
-            _kernels._last_timestamp_jit(x, y, t, 16, 16),
-            _kernels.last_timestamp_field_numpy(x, y, t, 16, 16),
-        )
-
     def test_simulate_crossings(self):
         rng = np.random.default_rng(5)
         for refractory in (0.0, 120.0, 1500.0):
@@ -95,11 +156,13 @@ class TestDispatch:
         assert _kernels.BACKEND in ("numba", "numpy")
 
     def test_dispatched_names_resolve(self):
-        x = np.array([1], dtype=np.int32)
-        y = np.array([2], dtype=np.int32)
-        t = np.array([30], dtype=np.int64)
-        assert _kernels.count_field(x, y, 4, 4)[2, 1] == 1
-        assert _kernels.last_timestamp_field(x, y, t, 4, 4)[2, 1] == 30
+        # One pixel ramps 0 -> 0.5 log units over 1000 us: crossings at 0.2 and 0.4.
+        log_frames = np.array([[[0.0]], [[0.5]]])
+        times = np.array([0, 1000], dtype=np.int64)
+        t, x, y, p = _kernels.simulate_crossings(log_frames, times, 0.2, 0.0)
+        assert list(t) == [400, 800]
+        assert list(x) == list(y) == [0, 0]
+        assert list(p) == [1, 1]
 
     def test_env_flag_selects_numpy_backend(self):
         import os

@@ -85,6 +85,20 @@ class TestSegment:
         cfg = WindowConfig(20_000)
         assert segment(truncate_by_ratio(s, 1.0), cfg) == segment(s, cfg)
 
+    def test_last_edge_beyond_int64_rejected(self):
+        # The edge t_first + 1000 wraps in int64; it must not pass silently.
+        s = make_stream([(0, 0, 9223372036854775000, 1), (1, 1, 9223372036854775800, -1)])
+        with pytest.raises(ValueError, match="int64"):
+            segment(s, WindowConfig(1000))
+
+    def test_last_edge_at_int64_max_accepted(self):
+        top = 2**63 - 1
+        s = make_stream([(0, 0, top - 1000, 1), (1, 1, top - 1, -1)])
+        windows = segment(s, WindowConfig(1000))
+        assert [(w.window_start, w.window_end, len(w)) for w in windows] == [
+            (top - 1000, top, 2)
+        ]
+
     def test_windows_share_stream_geometry(self):
         s = make_stream([(0, 0, 0, 1)])
         assert segment(s, WindowConfig())[0].geometry == s.geometry

@@ -35,6 +35,7 @@ from .formats import (
     parse_scores,
     read_frame_tensor,
     write_frame_tensor,
+    write_frame_tensor_to,
     write_pgm,
     write_ppm,
     write_scores,
@@ -43,6 +44,7 @@ from .ingest import (
     DAVIS240C_LAYOUT,
     DVS128_LAYOUT,
     AedatLayout,
+    AedatReader,
     FormatError,
     ParseStats,
     parse_aedat2,
@@ -63,7 +65,7 @@ from .stream import (
     truncate_by_ratio,
     validate_stream,
 )
-from .windowing import DEFAULT_WINDOW_US, EventWindow, WindowConfig, segment
+from .windowing import DEFAULT_WINDOW_US, EventWindow, WindowConfig, segment, segment_blocks
 
 __version__ = "0.1.0"
 
@@ -83,6 +85,7 @@ __all__ = [
     "POLICY_DROP_ALL_EMPTY",
     "POLICY_KEEP",
     "AedatLayout",
+    "AedatReader",
     "Chunk",
     "EncodedFrame",
     "Event",
@@ -109,12 +112,14 @@ __all__ = [
     "quantize",
     "read_frame_tensor",
     "segment",
+    "segment_blocks",
     "simulate",
     "temporal_average_pool",
     "timestamp_field",
     "truncate_by_ratio",
     "validate_stream",
     "write_frame_tensor",
+    "write_frame_tensor_to",
     "write_pgm",
     "write_ppm",
     "write_scores",

@@ -10,22 +10,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
 from .chunking import POLICIES, POLICY_KEEP, apply_empty_policy, make_chunks
-from .encoders import KIND_EVENT_COUNT, KIND_TIMESTAMP, POLARITY_IGNORE, POLARITY_MERGED
-from .formats import parse_scores, read_frame_tensor, write_frame_tensor, write_pgm, write_ppm
-from .ingest import (
-    DAVIS240C_LAYOUT,
-    DVS128_LAYOUT,
-    ParseStats,
-    parse_aedat2_stats,
-    parse_text,
-    write_text,
+from .encoders import (
+    KIND_EVENT_COUNT,
+    KIND_TIMESTAMP,
+    POLARITY_IGNORE,
+    POLARITY_MERGED,
+    encode_window,
 )
-from .pipeline import encode_stream
+from .formats import parse_scores, read_frame_tensor, write_frame_tensor_to, write_pgm, write_ppm
+from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, parse_text, write_text
 from .scoring import temporal_average_pool
 from .simulator import SimConfig, simulate
 from .stream import (
@@ -35,7 +35,7 @@ from .stream import (
     SensorGeometry,
     truncate_by_ratio,
 )
-from .windowing import DEFAULT_WINDOW_US, WindowConfig
+from .windowing import DEFAULT_WINDOW_US, WindowConfig, segment_blocks
 
 _LAYOUTS = {
     "dvs128": (DVS128_LAYOUT, DVS128_GEOMETRY),
@@ -90,16 +90,47 @@ def _ratio(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _load_stream(args) -> tuple[EventStream, ParseStats | None]:
+@contextmanager
+def _open_blocks(
+    args,
+) -> Iterator[tuple[SensorGeometry, Iterable[EventStream], AedatReader | None]]:
+    """The input stream as (geometry, blocks, reader).
+
+    AEDAT input is read block by block through reader, which also holds
+    the parse statistics; text input is parsed whole into one block and
+    reader is None.
+    """
     fmt = args.format
     if fmt == "auto":
         fmt = "aedat2" if args.input.endswith(".aedat") else "text"
     layout, native_geometry = _LAYOUTS[args.layout]
     geometry = args.geometry if args.geometry is not None else native_geometry
-    if fmt == "aedat2":
-        stream, stats = parse_aedat2_stats(Path(args.input).read_bytes(), layout, geometry)
-        return stream, stats
-    return parse_text(Path(args.input).read_text(), geometry), None
+    if fmt == "text":
+        yield geometry, [parse_text(Path(args.input).read_text(), geometry)], None
+        return
+    with open(args.input, "rb") as f:
+        reader = AedatReader(f, layout, geometry)
+        yield geometry, reader, reader
+
+
+@contextmanager
+def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
+    """A new file beside path that replaces it if the block succeeds and is removed if not.
+
+    A failed run thus leaves neither a partial output nor the temporary file.
+    """
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        f = open(partial, "xb")
+    except OSError as exc:  # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            yield f
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _add_stream_input(parser: argparse.ArgumentParser) -> None:
@@ -131,19 +162,15 @@ def _add_stream_input(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_encode(args) -> int:
-    stream, _ = _load_stream(args)
-    frames = encode_stream(
-        stream,
-        WindowConfig(args.window_us),
-        kind=_KINDS[args.kind],
-        polarity_mode=args.polarity,
-    )
     channels = 3 if args.polarity == POLARITY_MERGED else 1
-    shape = (stream.geometry.height, stream.geometry.width, channels)
-    Path(args.output).write_bytes(write_frame_tensor(frames, shape=shape))
+    output = Path(args.output)
+    with _open_blocks(args) as (geometry, blocks, _), _replace_on_success(output) as f:
+        windows = segment_blocks(blocks, WindowConfig(args.window_us))
+        frames = (encode_window(w, _KINDS[args.kind], args.polarity) for w in windows)
+        write_frame_tensor_to(f, frames, (geometry.height, geometry.width, channels))
     if args.emit_images is not None:
         os.makedirs(args.emit_images, exist_ok=True)
-        for i, frame in enumerate(frames):
+        for i, frame in enumerate(read_frame_tensor(output.read_bytes()).frames):
             if frame.channels == 1:
                 name, data = f"frame_{i:06d}.pgm", write_pgm(frame.pixels)
             else:
@@ -189,24 +216,34 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    stream, _ = _load_stream(args)
+    with _open_blocks(args) as (geometry, blocks, _):
+        stream = EventStream.concat(geometry, list(blocks))
     Path(args.output).write_text(write_text(truncate_by_ratio(stream, args.ratio)))
     return 0
 
 
 def cmd_info(args) -> int:
-    stream, stats = _load_stream(args)
-    lines = [
-        f"geometry: {stream.geometry.width}x{stream.geometry.height}",
-        f"events: {len(stream)}",
-    ]
-    if len(stream):
-        lines.append(f"t_first: {stream.t_first}")
-        lines.append(f"t_last: {stream.t_last}")
-    lines.append(f"duration_us: {stream.duration_us}")
-    lines.append(f"positive: {int(np.count_nonzero(stream.p == 1))}")
-    lines.append(f"negative: {int(np.count_nonzero(stream.p == -1))}")
-    if stats is not None:
+    events = positive = negative = 0
+    t_first = t_last = None
+    with _open_blocks(args) as (geometry, blocks, reader):
+        for block in blocks:
+            if len(block) == 0:
+                continue
+            if t_first is None:
+                t_first = block.t_first
+            t_last = block.t_last
+            events += len(block)
+            positive += int(np.count_nonzero(block.p == 1))
+            negative += int(np.count_nonzero(block.p == -1))
+    lines = [f"geometry: {geometry.width}x{geometry.height}", f"events: {events}"]
+    if events:
+        lines.append(f"t_first: {t_first}")
+        lines.append(f"t_last: {t_last}")
+    lines.append(f"duration_us: {t_last - t_first if events > 1 else 0}")
+    lines.append(f"positive: {positive}")
+    lines.append(f"negative: {negative}")
+    if reader is not None:
+        stats = reader.stats
         lines.append(f"header_lines: {stats.header_lines}")
         lines.append(f"records: {stats.records}")
         lines.append(f"skipped_non_dvs: {stats.skipped_non_dvs}")

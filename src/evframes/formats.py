@@ -14,16 +14,23 @@ same-shaped 8-bit frames plus their window bounds:
                       channel-interleaved
 
 All sizes are implied by the header; a reader rejects files whose length
-does not match exactly. Score tables are one CSV-ish text line per chunk
-with a '#' header naming K (and optionally the class labels). Images are
-written as binary PGM (1 channel) or PPM (3 channels).
+does not match exactly. The writer streams: it writes the header with a
+frame_count of 0, then each frame as it arrives, and at the end seeks back
+to patch frame_count, so it holds one frame at a time. The reader's frames
+are read-only views of the input buffer, not copies.
+
+Score tables are one CSV-ish text line per chunk with a '#' header naming K
+(and optionally the class labels). Images are written as binary PGM
+(1 channel) or PPM (3 channels).
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +42,8 @@ FRAME_TENSOR_MAGIC = b"EVFR"
 FRAME_TENSOR_VERSION = 1
 
 _HEADER = struct.Struct("<4sBIIII")
+_COUNT = struct.Struct("<I")
+_COUNT_OFFSET = _HEADER.size - _COUNT.size  # frame_count ends the header
 _FRAME_PREFIX = struct.Struct("<qqB")
 
 
@@ -51,30 +60,45 @@ class FrameTensor:
 def write_frame_tensor(
     frames: Sequence[EncodedFrame], shape: tuple[int, int, int] | None = None
 ) -> bytes:
-    """Serialize frames to frame-tensor bytes.
+    """Serialize frames to frame-tensor bytes (see :func:`write_frame_tensor_to`)."""
+    buf = io.BytesIO()
+    write_frame_tensor_to(buf, frames, shape)
+    return buf.getvalue()
+
+
+def write_frame_tensor_to(
+    f: BinaryIO, frames: Iterable[EncodedFrame], shape: tuple[int, int, int] | None = None
+) -> int:
+    """Write frames to a seekable binary file as they arrive; return the frame count.
 
     shape is (height, width, channels) and is only consulted (and then
-    required) when frames is empty; otherwise it is taken from the frames,
-    which must all agree. Frame kind and polarity mode are not recorded.
+    required) when there are no frames; otherwise it is taken from the
+    first frame, which every frame must match. Frame kind and polarity mode
+    are not recorded. The header goes out first with a frame count of 0,
+    which is patched once the frames are written.
     """
-    if frames:
-        first = frames[0].pixels.shape
-        for i, f in enumerate(frames):
-            if f.pixels.shape != first:
-                raise ValueError(f"frame {i}: shape {f.pixels.shape} does not match {first}")
-        height, width, channels = first
-    elif shape is not None:
-        height, width, channels = shape
-    else:
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is not None:
+        shape = first.pixels.shape
+        frames = itertools.chain([first], frames)
+    elif shape is None:
         raise ValueError("shape is required to write an empty frame tensor")
-
-    parts = [
-        _HEADER.pack(FRAME_TENSOR_MAGIC, FRAME_TENSOR_VERSION, width, height, channels, len(frames))
-    ]
-    for f in frames:
-        parts.append(_FRAME_PREFIX.pack(f.window_start, f.window_end, 1 if f.empty else 0))
-        parts.append(np.ascontiguousarray(f.pixels, dtype=np.uint8).tobytes())
-    return b"".join(parts)
+    height, width, channels = shape
+    start = f.tell()
+    f.write(_HEADER.pack(FRAME_TENSOR_MAGIC, FRAME_TENSOR_VERSION, width, height, channels, 0))
+    count = 0
+    for frame in frames:
+        if frame.pixels.shape != shape:
+            raise ValueError(f"frame {count}: shape {frame.pixels.shape} does not match {shape}")
+        f.write(_FRAME_PREFIX.pack(frame.window_start, frame.window_end, 1 if frame.empty else 0))
+        f.write(np.ascontiguousarray(frame.pixels, dtype=np.uint8))
+        count += 1
+    end = f.tell()
+    f.seek(start + _COUNT_OFFSET)
+    f.write(_COUNT.pack(count))
+    f.seek(end)
+    return count
 
 
 def read_frame_tensor(data: bytes) -> FrameTensor:
@@ -102,7 +126,7 @@ def read_frame_tensor(data: bytes) -> FrameTensor:
         if flag not in (0, 1):
             raise FormatError(f"frame {i}: empty flag must be 0 or 1, got {flag}")
         pos += _FRAME_PREFIX.size
-        pixels = np.frombuffer(data[pos : pos + frame_bytes], dtype=np.uint8).reshape(
+        pixels = np.frombuffer(data, np.uint8, count=frame_bytes, offset=pos).reshape(
             height, width, channels
         )
         pixels.setflags(write=False)

@@ -11,13 +11,25 @@ The 32-bit tick counter wraps after ~71 minutes; wraps are detected (raw
 timestamp dropping by more than 2^31) and corrected by adding 2^32 ticks per
 wrap, so output timestamps are monotone int64 microseconds.
 
+AEDAT input is read in blocks of ``_BLOCK_RECORDS`` records by
+:class:`AedatReader`, so memory does not grow with the file. The previous
+record's tick and the wrap count carry across blocks, and error positions
+(record index, byte offset) count from the start of the file. The checks and
+their order are those of a whole-file pass: header, then trailing partial
+record (known from the file size), then backward ticks anywhere in the file,
+then coordinates; a bad coordinate is therefore reported only once every
+tick has been checked. :func:`parse_aedat2_stats` reads bytes through the
+same reader and joins the blocks.
+
 Text format: one event per line as ``t x y p`` (whitespace or commas),
 ``#`` comment lines skipped, polarity accepted as 1/-1/0 with 0 read as -1.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -25,6 +37,10 @@ from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
 
 _WRAP_STEP = 1 << 32
 _WRAP_JUMP = 1 << 31
+
+# Records AedatReader decodes at a time (512 KiB of input). Larger blocks
+# cost more memory and ran no faster.
+_BLOCK_RECORDS = 1 << 16
 
 
 class FormatError(ValueError):
@@ -109,85 +125,125 @@ def parse_aedat2_stats(
     data: bytes, layout: AedatLayout, geometry: SensorGeometry
 ) -> tuple[EventStream, ParseStats]:
     """Parse AEDAT 2.0 bytes, also returning parse statistics."""
-    body_start, header_lines = _skip_header(data)
-    body = data[body_start:]
-    n_records, extra = divmod(len(body), 8)
-    if extra:
-        raise FormatError(
-            f"trailing partial record: {extra} byte(s) at byte offset {body_start + n_records * 8}"
+    reader = AedatReader(io.BytesIO(data), layout, geometry)
+    return EventStream.concat(geometry, list(reader)), reader.stats
+
+
+class AedatReader:
+    """Decode an AEDAT 2.0 file block by block (see module docstring).
+
+    ``f`` is a seekable binary file object positioned at the start of the
+    file. Construction reads the header and checks that the body holds
+    whole records; iterating once decodes the body and yields one
+    EventStream per block of up to ``_BLOCK_RECORDS`` records that holds
+    DVS events. ``stats`` is complete once the iteration has finished.
+    """
+
+    def __init__(self, f: BinaryIO, layout: AedatLayout, geometry: SensorGeometry):
+        self._f = f
+        self.layout = layout
+        self.geometry = geometry
+        self.header_lines = _read_header(f)
+        body_start = f.tell()
+        self.records, extra = divmod(f.seek(0, io.SEEK_END) - body_start, 8)
+        f.seek(body_start)
+        if extra:
+            raise FormatError(
+                f"trailing partial record: {extra} byte(s) at byte offset "
+                f"{body_start + self.records * 8}"
+            )
+        self.events = self.skipped_non_dvs = self.timestamp_wraps = 0
+
+    @property
+    def stats(self) -> ParseStats:
+        return ParseStats(
+            self.header_lines, self.records, self.events, self.skipped_non_dvs,
+            self.timestamp_wraps,
         )
 
-    if n_records == 0:
-        stats = ParseStats(header_lines, 0, 0, 0, 0)
-        return EventStream.empty(geometry), stats
+    def __iter__(self) -> Iterator[EventStream]:
+        layout, g = self.layout, self.geometry
+        # Carried across blocks: the previous record's raw and unwrapped tick,
+        # and the first bad coordinate. A bad coordinate is reported only at
+        # the end, because a backward tick anywhere in the file takes
+        # precedence; the blocks after it are still read for their ticks.
+        last_raw = last_tick = None
+        bad_coordinate = None
+        for base in range(0, self.records, _BLOCK_RECORDS):
+            n = min(_BLOCK_RECORDS, self.records - base)
+            buf = self._f.read(8 * n)
+            if len(buf) != 8 * n:
+                raise FormatError(f"record {base + len(buf) // 8}: file ended while reading")
+            words = np.frombuffer(buf, dtype=">u4").reshape(n, 2)
 
-    words = np.frombuffer(body, dtype=">u4").reshape(-1, 2)
-    addr = words[:, 0].astype(np.int64)
-    raw_ts = words[:, 1].astype(np.int64)
+            # The tick counter is global to the file: wraps and backward steps
+            # are found over all records, before non-DVS records are dropped.
+            raw = words[:, 1].astype(np.int64)
+            step = np.diff(raw, prepend=raw[0] if last_raw is None else last_raw)
+            wrapped = step < -_WRAP_JUMP
+            n_wraps = int(np.count_nonzero(wrapped))
+            ticks = raw
+            if n_wraps or self.timestamp_wraps:
+                ticks = raw + (np.cumsum(wrapped) + self.timestamp_wraps) * _WRAP_STEP
+                self.timestamp_wraps += n_wraps
+            backward = np.flatnonzero((step < 0) & ~wrapped)
+            if backward.size:
+                i = int(backward[0])
+                raise FormatError(
+                    f"record {base + i}: timestamp moves backward "
+                    f"({ticks[i]} after {ticks[i - 1] if i else last_tick}) "
+                    "and is not a 32-bit wrap"
+                )
+            last_raw, last_tick = raw[-1], ticks[-1]
+            if bad_coordinate is not None:
+                continue
 
-    # Wrap correction runs over all records (the tick counter is global to
-    # the file), before any non-DVS records are dropped.
-    wraps = np.diff(raw_ts) < -_WRAP_JUMP
-    n_wraps = int(np.count_nonzero(wraps))
-    ticks = raw_ts
-    if n_wraps:
-        offsets = np.zeros(n_records, dtype=np.int64)
-        np.cumsum(wraps, out=offsets[1:])
-        ticks = raw_ts + offsets * _WRAP_STEP
-
-    backward = np.flatnonzero(np.diff(ticks) < 0)
-    if backward.size:
-        i = int(backward[0]) + 1
-        raise FormatError(
-            f"record {i}: timestamp moves backward ({ticks[i]} after {ticks[i - 1]}) "
-            "and is not a 32-bit wrap"
-        )
-
-    if layout.type_bit is not None:
-        is_dvs = (addr >> layout.type_bit) & 1 == 0
-        n_skipped = n_records - int(np.count_nonzero(is_dvs))
-    else:
-        is_dvs = slice(None)
-        n_skipped = 0
-
-    addr = addr[is_dvs]
-    ticks = ticks[is_dvs]
-    record_idx = np.arange(n_records)[is_dvs]
-
-    x = (addr >> layout.x_shift) & layout.x_mask
-    y = (addr >> layout.y_shift) & layout.y_mask
-    bad = np.flatnonzero((x >= geometry.width) | (y >= geometry.height))
-    if bad.size:
-        i = int(record_idx[bad[0]])
-        raise FormatError(
-            f"record {i}: coordinate ({x[bad[0]]}, {y[bad[0]]}) outside "
-            f"{geometry.width}x{geometry.height} geometry"
-        )
-
-    raw_pol = (addr >> layout.polarity_shift) & 1
-    p = np.where(raw_pol == layout.polarity_on_value, 1, -1)
-    t = ticks * layout.timestamp_unit
-
-    stream = EventStream(geometry, x, y, t, p)
-    stats = ParseStats(header_lines, n_records, len(stream), n_skipped, n_wraps)
-    return stream, stats
+            addr = words[:, 0].astype(np.int64)
+            is_dvs = None
+            if layout.type_bit is not None:
+                is_dvs = (addr >> layout.type_bit) & 1 == 0
+                n_dvs = int(np.count_nonzero(is_dvs))
+                self.skipped_non_dvs += n - n_dvs
+                if n_dvs < n:
+                    addr, ticks = addr[is_dvs], ticks[is_dvs]
+            x = (addr >> layout.x_shift) & layout.x_mask
+            y = (addr >> layout.y_shift) & layout.y_mask
+            bad = np.flatnonzero((x >= g.width) | (y >= g.height))
+            if bad.size:
+                j = int(bad[0])
+                record = base + (j if is_dvs is None else int(np.flatnonzero(is_dvs)[j]))
+                bad_coordinate = (
+                    f"record {record}: coordinate ({x[j]}, {y[j]}) outside "
+                    f"{g.width}x{g.height} geometry"
+                )
+                continue
+            if not len(addr):
+                continue
+            negative = ((addr >> layout.polarity_shift) & 1) != layout.polarity_on_value
+            p = 1 - 2 * negative.view(np.int8)
+            t = ticks * layout.timestamp_unit
+            self.events += len(t)
+            yield EventStream(g, x.astype(np.int32), y.astype(np.int32), t, p)
+        if bad_coordinate is not None:
+            raise FormatError(bad_coordinate)
 
 
-def _skip_header(data: bytes) -> tuple[int, int]:
-    """Consume '#'-prefixed header lines; return (body offset, line count)."""
-    pos = 0
+def _read_header(f: BinaryIO) -> int:
+    """Consume '#'-prefixed header lines, leaving f at the body; return the line count."""
     lines = 0
-    while pos < len(data) and data[pos : pos + 1] == b"#":
-        nl = data.find(b"\n", pos)
-        if nl == -1:
+    pos = f.tell()
+    while f.read(1) == b"#":
+        rest = f.readline()
+        if not rest.endswith(b"\n"):
             raise FormatError(f"header line {lines + 1}: missing trailing newline")
         try:
-            data[pos:nl].decode("utf-8")
+            (b"#" + rest[:-1]).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"header line {lines + 1}: not valid text ({exc})") from None
-        pos = nl + 1
+        pos += 1 + len(rest)
         lines += 1
-    return pos, lines
+    f.seek(pos)
+    return lines
 
 
 def parse_text(text: str, geometry: SensorGeometry) -> EventStream:

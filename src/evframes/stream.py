@@ -94,6 +94,16 @@ class EventStream:
         arr = np.asarray(ev, dtype=np.int64)
         return cls(geometry, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 
+    @classmethod
+    def concat(cls, geometry: SensorGeometry, parts: list["EventStream"]) -> "EventStream":
+        """Join consecutive pieces of one stream; a single piece is returned as is."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.empty(geometry)
+        columns = zip(*((s.x, s.y, s.t, s.p) for s in parts))
+        return cls(geometry, *(np.concatenate(c) for c in columns))
+
     def __len__(self) -> int:
         return len(self.t)
 

@@ -9,6 +9,7 @@ to keep the frame cadence uniform for downstream chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -89,34 +90,54 @@ def segment(stream: EventStream, config: WindowConfig = WindowConfig()) -> list[
     An empty stream yields no windows. Raises ValueError when the last
     window's end would not fit in int64.
     """
-    if len(stream) == 0:
-        return []
+    return list(segment_blocks([stream], config))
+
+
+def segment_blocks(
+    blocks: Iterable[EventStream], config: WindowConfig = WindowConfig()
+) -> Iterator[EventWindow]:
+    """Lazily tile a stream that arrives as consecutive blocks, as :func:`segment` does.
+
+    A window is yielded as soon as a later event (or the end of the blocks)
+    closes it. The open window is kept as one piece per block and joined
+    once when it closes, so a window spanning many blocks is copied once.
+    The int64 check on the last window's end runs after the last block.
+    """
     T = config.window_length_us
-    t_first = stream.t_first
-    span = stream.t_last - t_first
-    n_windows = (span + T) // T  # == ceil((span + 1) / T)
-    # Python ints cannot wrap; the int64 edges below (and the frame tensor) can.
-    last_edge = t_first + n_windows * T
+    t_first = None
+    k = 0  # index of the open window
+    pieces = []  # the open window's (x, y, t, p) columns, one piece per block
+    for block in blocks:
+        if len(block) == 0:
+            continue
+        if t_first is None:
+            t_first, geometry = block.t_first, block.geometry
+        t_last = block.t_last
+        k_last = (t_last - t_first) // T
+        lo = 0
+        if k_last > k:
+            # Starts of windows k+1..k_last; none is beyond t_last, so int64 holds them.
+            edges = t_first + T * np.arange(k + 1, k_last + 1, dtype=np.int64)
+            for hi in np.searchsorted(block.t, edges, side="left").tolist():
+                pieces.append((block.x[lo:hi], block.y[lo:hi], block.t[lo:hi], block.p[lo:hi]))
+                yield _close(geometry, pieces, t_first + k * T, T)
+                pieces = []
+                lo = hi
+                k += 1
+        pieces.append((block.x[lo:], block.y[lo:], block.t[lo:], block.p[lo:]))
+    if t_first is None:
+        return
+    # Python ints cannot wrap; the int64 edges (and the frame tensor) can.
+    last_edge = t_first + (k + 1) * T
     if last_edge > MAX_TIMESTAMP_US:
         raise ValueError(
             f"last window would end at {last_edge}, beyond the int64 range "
-            f"(events {t_first}..{stream.t_last}, window {T} us)"
+            f"(events {t_first}..{t_last}, window {T} us)"
         )
+    yield _close(geometry, pieces, t_first + k * T, T)
 
-    edges = t_first + T * np.arange(n_windows + 1, dtype=np.int64)
-    cuts = np.searchsorted(stream.t, edges, side="left")
-    windows = []
-    for k in range(n_windows):
-        lo, hi = int(cuts[k]), int(cuts[k + 1])
-        windows.append(
-            EventWindow(
-                stream.geometry,
-                stream.x[lo:hi],
-                stream.y[lo:hi],
-                stream.t[lo:hi],
-                stream.p[lo:hi],
-                int(edges[k]),
-                int(edges[k + 1]),
-            )
-        )
-    return windows
+
+def _close(geometry: SensorGeometry, pieces: list[tuple], start: int, T: int) -> EventWindow:
+    """The window [start, start + T) made of the given column pieces."""
+    columns = pieces[0] if len(pieces) == 1 else [np.concatenate(c) for c in zip(*pieces)]
+    return EventWindow(geometry, *columns, start, start + T)

@@ -4,13 +4,14 @@ import sys
 import numpy as np
 import pytest
 
+from evframes import ingest
 from evframes.cli import main
 from evframes.encoders import KIND_EVENT_COUNT, POLARITY_MERGED, EncodedFrame
 from evframes.formats import read_frame_tensor, write_frame_tensor
 from evframes.ingest import parse_text
 from evframes.stream import SensorGeometry
 
-from tests.test_ingest import HEADER, dvs128_record
+from tests.test_ingest import HEADER, davis_record, dvs128_record
 
 
 def run(*argv):
@@ -118,6 +119,30 @@ class TestEncode:
             assert run("encode", src, out, "--geometry", "32x32") == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("polarity", ["merged", "ignore"])
+    def test_small_blocks_give_identical_tensor_and_images(self, tmp_path, monkeypatch, polarity):
+        rng = np.random.default_rng(5)
+        ticks = 2**32 - 30_000 + np.cumsum(rng.integers(0, 2_000, size=60))
+        src = tmp_path / "rec.aedat"
+        src.write_bytes(
+            HEADER
+            + b"".join(
+                dvs128_record(int(rng.integers(0, 128)), int(rng.integers(0, 128)),
+                              int(rng.choice([1, -1])), int(t) % 2**32)
+                for t in ticks
+            )
+        )
+        results = []
+        for block in (ingest._BLOCK_RECORDS, 3):
+            monkeypatch.setattr(ingest, "_BLOCK_RECORDS", block)
+            out, imgs = tmp_path / f"{block}.evfr", tmp_path / f"imgs{block}"
+            args = ("--window-us", 5000, "--polarity", polarity, "--emit-images", imgs)
+            assert run("encode", src, out, *args) == 0
+            images = [(p.name, p.read_bytes()) for p in sorted(imgs.iterdir())]
+            results.append((out.read_bytes(), images))
+        assert results[0] == results[1]
+        assert len(results[0][1]) == len(read_frame_tensor(results[0][0]).frames) > 10
 
     def test_aedat_input_autodetected(self, tmp_path):
         src = tmp_path / "rec.aedat"
@@ -284,6 +309,31 @@ class TestInfo:
         assert "records: 2" in out
         assert "timestamp_wraps: 0" in out
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_block_size_does_not_change_summary(self, tmp_path, capsys, monkeypatch, block):
+        recs = [davis_record(i, 2 * i, 1 if i % 3 else -1, (2**32 - 40 + 10 * i) % 2**32,
+                             non_dvs=i % 4 == 1) for i in range(9)]
+        src = tmp_path / "rec.aedat"
+        src.write_bytes(HEADER + b"".join(recs))
+        monkeypatch.setattr(ingest, "_BLOCK_RECORDS", block)
+        assert run("info", src, "--layout", "davis240c") == 0
+        assert capsys.readouterr().out == (
+            "geometry: 240x180\nevents: 7\nt_first: 4294967256\nt_last: 4294967336\n"
+            "duration_us: 80\npositive: 4\nnegative: 3\nheader_lines: 1\nrecords: 9\n"
+            "skipped_non_dvs: 2\ntimestamp_wraps: 1\n"
+        )
+
+    @pytest.mark.parametrize("data,header_lines", [(b"", 0), (HEADER, 1)])
+    def test_aedat_without_records(self, tmp_path, capsys, data, header_lines):
+        src = tmp_path / "rec.aedat"
+        src.write_bytes(data)
+        assert run("info", src) == 0
+        assert capsys.readouterr().out == (
+            "geometry: 128x128\nevents: 0\nduration_us: 0\npositive: 0\nnegative: 0\n"
+            f"header_lines: {header_lines}\nrecords: 0\nskipped_non_dvs: 0\n"
+            "timestamp_wraps: 0\n"
+        )
+
     def test_empty_stream_zero_counts(self, tmp_path, capsys):
         src = tmp_path / "ev.txt"
         src.write_text("")
@@ -321,6 +371,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("evframes:") and "int64" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_bad_coordinate_in_later_block_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 2)
+        src = tmp_path / "rec.aedat"
+        src.write_bytes(
+            HEADER + b"".join(dvs128_record(9 if i == 7 else 1, 1, 1, 1000 * i) for i in range(10))
+        )
+        out, imgs = tmp_path / "frames.evfr", tmp_path / "imgs"
+        argv = ("encode", src, out, "--geometry", "8x8", "--window-us", 1000, "--emit-images", imgs)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == "evframes: record 7: coordinate (9, 1) outside 8x8 geometry\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.aedat"]
+        out.write_bytes(b"an earlier tensor")
+        assert run(*argv) == 1
+        assert out.read_bytes() == b"an earlier tensor"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.evfr", "rec.aedat"]
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from evframes.formats import (
     parse_scores,
     read_frame_tensor,
     write_frame_tensor,
+    write_frame_tensor_to,
     write_pgm,
     write_ppm,
     write_scores,
@@ -104,6 +106,26 @@ class TestFrameTensor:
         tensor = read_frame_tensor(write_frame_tensor(make_frames(1)))
         with pytest.raises(ValueError):
             tensor.frames[0].pixels[0, 0, 0] = 1
+
+    def test_read_pixels_are_views_of_the_input(self):
+        data = write_frame_tensor(make_frames(3))
+        whole = np.frombuffer(data, dtype=np.uint8)
+        for frame in read_frame_tensor(data).frames:
+            assert np.shares_memory(frame.pixels, whole)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_streamed_write_patches_frame_count(self, n):
+        frames = make_frames(n)
+        f = io.BytesIO()
+        f.write(b"prefix")
+        assert write_frame_tensor_to(f, iter(frames), shape=(3, 4, 3)) == n
+        assert f.getvalue() == b"prefix" + write_frame_tensor(frames, shape=(3, 4, 3))
+        assert f.tell() == len(f.getvalue())
+
+    def test_streamed_write_rejects_later_shape_mismatch(self):
+        frames = make_frames(2) + make_frames(1, shape=(4, 3, 3))
+        with pytest.raises(ValueError, match=r"^frame 2: shape \(4, 3, 3\) does not match \(3, 4, 3\)$"):
+            write_frame_tensor_to(io.BytesIO(), iter(frames))
 
 
 class TestScoreFile:

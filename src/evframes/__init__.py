@@ -18,6 +18,7 @@ from .chunking import (
     Chunk,
     apply_empty_policy,
     make_chunks,
+    select_chunks,
 )
 from .encoders import (
     KIND_EVENT_COUNT,
@@ -32,6 +33,7 @@ from .encoders import (
 )
 from .formats import (
     FrameTensor,
+    FrameTensorReader,
     parse_scores,
     read_frame_tensor,
     write_frame_tensor,
@@ -62,6 +64,7 @@ from .stream import (
     EventStream,
     SensorGeometry,
     Violation,
+    truncate_block,
     truncate_by_ratio,
     validate_stream,
 )
@@ -93,6 +96,7 @@ __all__ = [
     "EventWindow",
     "FormatError",
     "FrameTensor",
+    "FrameTensorReader",
     "ParseStats",
     "ScoreVector",
     "SensorGeometry",
@@ -113,9 +117,11 @@ __all__ = [
     "read_frame_tensor",
     "segment",
     "segment_blocks",
+    "select_chunks",
     "simulate",
     "temporal_average_pool",
     "timestamp_field",
+    "truncate_block",
     "truncate_by_ratio",
     "validate_stream",
     "write_frame_tensor",

@@ -37,6 +37,29 @@ class Chunk:
         return all(f.empty for f in self.frames)
 
 
+def select_chunks(
+    empty: Sequence[bool],
+    policy: str = POLICY_KEEP,
+    size: int = DEFAULT_CHUNK_SIZE,
+    stride: int = DEFAULT_STRIDE,
+) -> list[range]:
+    """Frame indices of each chunk that policy keeps, over frames with these empty flags.
+
+    Chunks of `size` frames start at frames 0, stride, 2*stride, ... as long
+    as they fit: N >= size frames give (N - size) // stride + 1 chunks before
+    the policy, fewer give none. ``keep`` keeps every chunk;
+    ``drop_all_empty_chunks`` drops the chunks whose every frame is empty.
+    """
+    if size < 1 or stride < 1:
+        raise ValueError("chunk size and stride must be >= 1")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    chunks = [range(j, j + size) for j in range(0, len(empty) - size + 1, stride)]
+    if policy == POLICY_DROP_ALL_EMPTY:
+        chunks = [r for r in chunks if not all(empty[r.start : r.stop])]
+    return chunks
+
+
 def make_chunks(
     frames: Sequence[EncodedFrame],
     size: int = DEFAULT_CHUNK_SIZE,
@@ -48,8 +71,7 @@ def make_chunks(
     geometry, kind and polarity mode; the first mismatching frame is named
     in the error.
     """
-    if size < 1 or stride < 1:
-        raise ValueError("chunk size and stride must be >= 1")
+    ranges = select_chunks([f.empty for f in frames], POLICY_KEEP, size, stride)
     if len(frames) >= 2:
         first = frames[0]
         for i, f in enumerate(frames[1:], start=1):
@@ -65,10 +87,7 @@ def make_chunks(
                     f"frame {i}: polarity mode {f.polarity_mode!r} does not match "
                     f"{first.polarity_mode!r}"
                 )
-    return [
-        Chunk(tuple(frames[j : j + size]), j + size - 1)
-        for j in range(0, len(frames) - size + 1, stride)
-    ]
+    return [Chunk(tuple(frames[r.start : r.stop]), r[-1]) for r in ranges]
 
 
 def apply_empty_policy(chunks: Sequence[Chunk], policy: str = POLICY_KEEP) -> list[Chunk]:
@@ -77,8 +96,6 @@ def apply_empty_policy(chunks: Sequence[Chunk], policy: str = POLICY_KEEP) -> li
     ``keep`` passes everything through; ``drop_all_empty_chunks`` removes
     chunks whose every frame carries the empty flag.
     """
-    if policy == POLICY_KEEP:
-        return list(chunks)
-    if policy == POLICY_DROP_ALL_EMPTY:
-        return [c for c in chunks if not c.all_empty]
-    raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    # The rule of select_chunks, applied to chunks of one frame that is empty
+    # when all of the chunk's frames are.
+    return [chunks[r.start] for r in select_chunks([c.all_empty for c in chunks], policy, 1)]

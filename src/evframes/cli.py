@@ -16,7 +16,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .chunking import POLICIES, POLICY_KEEP, apply_empty_policy, make_chunks
+from .chunking import POLICIES, POLICY_KEEP, select_chunks
 from .encoders import (
     KIND_EVENT_COUNT,
     KIND_TIMESTAMP,
@@ -24,7 +24,7 @@ from .encoders import (
     POLARITY_MERGED,
     encode_window,
 )
-from .formats import parse_scores, read_frame_tensor, write_frame_tensor_to, write_pgm, write_ppm
+from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pgm, write_ppm
 from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, parse_text, write_text
 from .scoring import temporal_average_pool
 from .simulator import SimConfig, simulate
@@ -33,7 +33,7 @@ from .stream import (
     DVS128_GEOMETRY,
     EventStream,
     SensorGeometry,
-    truncate_by_ratio,
+    truncate_block,
 )
 from .windowing import DEFAULT_WINDOW_US, WindowConfig, segment_blocks
 
@@ -98,7 +98,7 @@ def _open_blocks(
 
     AEDAT input is read block by block through reader, which also holds
     the parse statistics; text input is parsed whole into one block and
-    reader is None.
+    reader is None. Either way the blocks can be iterated more than once.
     """
     fmt = args.format
     if fmt == "auto":
@@ -170,20 +170,21 @@ def cmd_encode(args) -> int:
         write_frame_tensor_to(f, frames, (geometry.height, geometry.width, channels))
     if args.emit_images is not None:
         os.makedirs(args.emit_images, exist_ok=True)
-        for i, frame in enumerate(read_frame_tensor(output.read_bytes()).frames):
-            if frame.channels == 1:
-                name, data = f"frame_{i:06d}.pgm", write_pgm(frame.pixels)
-            else:
-                name, data = f"frame_{i:06d}.ppm", write_ppm(frame.pixels)
-            Path(args.emit_images, name).write_bytes(data)
+        with open(output, "rb") as f:
+            for i, frame in enumerate(FrameTensorReader(f).frames()):
+                if frame.channels == 1:
+                    name, data = f"frame_{i:06d}.pgm", write_pgm(frame.pixels)
+                else:
+                    name, data = f"frame_{i:06d}.ppm", write_ppm(frame.pixels)
+                Path(args.emit_images, name).write_bytes(data)
     return 0
 
 
 def cmd_chunk(args) -> int:
-    tensor = read_frame_tensor(Path(args.frames).read_bytes())
-    chunks = apply_empty_policy(make_chunks(tensor.frames), args.policy)
-    lines = [" ".join(str(i) for i in chunk.frame_indices) for chunk in chunks]
-    _emit("".join(line + "\n" for line in lines), args.output)
+    with open(args.frames, "rb") as f:
+        empty = [flag for _, _, flag in FrameTensorReader(f).prefixes()]
+    chunks = select_chunks(empty, args.policy)
+    _emit("".join(" ".join(map(str, r)) + "\n" for r in chunks), args.output)
     return 0
 
 
@@ -201,24 +202,42 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    tensor = read_frame_tensor(Path(args.input).read_bytes())
-    if tensor.channels != 1:
-        raise ValueError(
-            f"simulate needs 1-channel intensity frames, got {tensor.channels} channels"
-        )
-    if len(tensor.frames) < 2:
-        raise ValueError("need at least two frames to interpolate between")
-    intensities = 1.0 + np.stack([f.pixels[:, :, 0] for f in tensor.frames]).astype(np.float64)
-    times = np.array([f.window_start for f in tensor.frames], dtype=np.int64)
+    with open(args.input, "rb") as f:
+        tensor = FrameTensorReader(f)
+        # The prefix pass checks every empty flag before the checks below.
+        times = np.array([start for start, _, _ in tensor.prefixes()], dtype=np.int64)
+        if tensor.channels != 1:
+            raise ValueError(
+                f"simulate needs 1-channel intensity frames, got {tensor.channels} channels"
+            )
+        if len(times) < 2:
+            raise ValueError("need at least two frames to interpolate between")
+        intensities = np.empty((len(times), tensor.height, tensor.width))
+        for i, frame in enumerate(tensor.frames()):
+            intensities[i] = frame.pixels[:, :, 0]
+    intensities += 1.0
     out = simulate(intensities, times, SimConfig(args.threshold, args.refractory_us))
     Path(args.output).write_text(write_text(out))
     return 0
 
 
 def cmd_truncate(args) -> int:
-    with _open_blocks(args) as (geometry, blocks, _):
-        stream = EventStream.concat(geometry, list(blocks))
-    Path(args.output).write_text(write_text(truncate_by_ratio(stream, args.ratio)))
+    # Two passes over the blocks: the cutoff needs the last timestamp, and
+    # the first pass also finds every parse error before the output is opened.
+    t_first = t_last = None
+    with _open_blocks(args) as (_, blocks, _):
+        for block in blocks:
+            if len(block):
+                t_first = block.t_first if t_first is None else t_first
+                t_last = block.t_last
+        if t_first is None:
+            raise ValueError("cannot truncate empty stream")
+        with _replace_on_success(Path(args.output)) as f:
+            for block in blocks:
+                head = truncate_block(block, args.ratio, t_first, t_last)
+                f.write(write_text(head).encode("ascii"))
+                if len(head) < len(block):
+                    break
     return 0
 
 

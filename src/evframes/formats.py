@@ -16,8 +16,11 @@ same-shaped 8-bit frames plus their window bounds:
 All sizes are implied by the header; a reader rejects files whose length
 does not match exactly. The writer streams: it writes the header with a
 frame_count of 0, then each frame as it arrives, and at the end seeks back
-to patch frame_count, so it holds one frame at a time. The reader's frames
-are read-only views of the input buffer, not copies.
+to patch frame_count, so it holds one frame at a time. Version 1 holds at
+most ``MAX_FRAME_COUNT`` frames. :func:`read_frame_tensor` decodes bytes
+already in memory, and its frames are read-only views of them;
+:class:`FrameTensorReader` reads a file one frame, or one 17-byte frame
+prefix, at a time.
 
 Score tables are one CSV-ish text line per chunk with a '#' header naming K
 (and optionally the class labels). Images are written as binary PGM
@@ -30,7 +33,7 @@ import io
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +48,9 @@ _HEADER = struct.Struct("<4sBIIII")
 _COUNT = struct.Struct("<I")
 _COUNT_OFFSET = _HEADER.size - _COUNT.size  # frame_count ends the header
 _FRAME_PREFIX = struct.Struct("<qqB")
+
+# frame_count is a u32 in format version 1.
+MAX_FRAME_COUNT = (1 << 32) - 1
 
 
 @dataclass
@@ -89,6 +95,11 @@ def write_frame_tensor_to(
     f.write(_HEADER.pack(FRAME_TENSOR_MAGIC, FRAME_TENSOR_VERSION, width, height, channels, 0))
     count = 0
     for frame in frames:
+        if count == MAX_FRAME_COUNT:
+            raise ValueError(
+                f"frame tensor format version {FRAME_TENSOR_VERSION} holds at most "
+                f"{MAX_FRAME_COUNT} frames"
+            )
         if frame.pixels.shape != shape:
             raise ValueError(f"frame {count}: shape {frame.pixels.shape} does not match {shape}")
         f.write(_FRAME_PREFIX.pack(frame.window_start, frame.window_end, 1 if frame.empty else 0))
@@ -102,37 +113,92 @@ def write_frame_tensor_to(
 
 
 def read_frame_tensor(data: bytes) -> FrameTensor:
-    """Decode frame-tensor bytes, checking magic, version and exact length."""
-    if len(data) < _HEADER.size:
-        raise FormatError(f"frame tensor header needs {_HEADER.size} bytes, got {len(data)}")
-    magic, version, width, height, channels, frame_count = _HEADER.unpack_from(data)
+    """Decode frame-tensor bytes, checking magic, version and exact length.
+
+    The frames' pixels are read-only views of data.
+    """
+    width, height, channels, frame_count = _unpack_header(data, len(data))
+    shape = (height, width, channels)
+    size = _FRAME_PREFIX.size + height * width * channels
+    frames = [
+        _unpack_frame(data, _HEADER.size + i * size, i, shape) for i in range(frame_count)
+    ]
+    return FrameTensor(width, height, channels, frames)
+
+
+class FrameTensorReader:
+    """Read a frame-tensor file one frame, or one frame prefix, at a time.
+
+    ``f`` is a seekable binary file object positioned at the start of the
+    tensor. Construction reads the header and checks it, and the exact
+    length, as :func:`read_frame_tensor` does. Each iteration starts again
+    at the first frame and checks every empty flag it passes.
+    """
+
+    def __init__(self, f: BinaryIO):
+        self._f = f
+        start = f.tell()
+        header = f.read(_HEADER.size)
+        size = f.seek(0, io.SEEK_END) - start
+        self.width, self.height, self.channels, self.frame_count = _unpack_header(header, size)
+        self._body = start + _HEADER.size
+        self._frame_bytes = self.height * self.width * self.channels
+
+    def frames(self) -> Iterator[EncodedFrame]:
+        """Yield each frame; its pixels are read-only and are read when it is reached."""
+        shape = (self.height, self.width, self.channels)
+        self._f.seek(self._body)
+        for i in range(self.frame_count):
+            yield _unpack_frame(self._read(_FRAME_PREFIX.size + self._frame_bytes, i), 0, i, shape)
+
+    def prefixes(self) -> Iterator[tuple[int, int, bool]]:
+        """Yield each frame's (window_start, window_end, empty), skipping its pixels."""
+        self._f.seek(self._body)
+        for i in range(self.frame_count):
+            yield _unpack_prefix(self._read(_FRAME_PREFIX.size, i), 0, i)
+            self._f.seek(self._frame_bytes, io.SEEK_CUR)
+
+    def _read(self, n: int, i: int) -> bytes:
+        buf = self._f.read(n)
+        if len(buf) != n:  # the file shrank after the length check
+            raise FormatError(f"frame {i}: file ended while reading")
+        return buf
+
+
+def _unpack_header(header: bytes, size: int) -> tuple[int, int, int, int]:
+    """(width, height, channels, frame_count) from a header, checked against the file size."""
+    if size < _HEADER.size:
+        raise FormatError(f"frame tensor header needs {_HEADER.size} bytes, got {size}")
+    magic, version, width, height, channels, frame_count = _HEADER.unpack_from(header)
     if magic != FRAME_TENSOR_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {FRAME_TENSOR_MAGIC!r}")
     if version != FRAME_TENSOR_VERSION:
         raise FormatError(f"unsupported frame tensor version {version}")
-
-    frame_bytes = height * width * channels
-    expected = _HEADER.size + frame_count * (_FRAME_PREFIX.size + frame_bytes)
-    if len(data) != expected:
+    expected = _HEADER.size + frame_count * (_FRAME_PREFIX.size + height * width * channels)
+    if size != expected:
         raise FormatError(
-            f"file length {len(data)} does not match header "
+            f"file length {size} does not match header "
             f"({frame_count} frames of {height}x{width}x{channels} need {expected} bytes)"
         )
+    return width, height, channels, frame_count
 
-    frames = []
-    pos = _HEADER.size
-    for i in range(frame_count):
-        start, end, flag = _FRAME_PREFIX.unpack_from(data, pos)
-        if flag not in (0, 1):
-            raise FormatError(f"frame {i}: empty flag must be 0 or 1, got {flag}")
-        pos += _FRAME_PREFIX.size
-        pixels = np.frombuffer(data, np.uint8, count=frame_bytes, offset=pos).reshape(
-            height, width, channels
-        )
-        pixels.setflags(write=False)
-        pos += frame_bytes
-        frames.append(EncodedFrame(pixels, None, None, start, end, bool(flag)))
-    return FrameTensor(width, height, channels, frames)
+
+def _unpack_prefix(buf: bytes, offset: int, i: int) -> tuple[int, int, bool]:
+    """Frame i's (window_start, window_end, empty) from the prefix at offset."""
+    start, end, flag = _FRAME_PREFIX.unpack_from(buf, offset)
+    if flag not in (0, 1):
+        raise FormatError(f"frame {i}: empty flag must be 0 or 1, got {flag}")
+    return start, end, bool(flag)
+
+
+def _unpack_frame(buf: bytes, offset: int, i: int, shape: tuple[int, int, int]) -> EncodedFrame:
+    """Frame i, whose prefix starts at offset; its pixels are a read-only view of buf."""
+    start, end, empty = _unpack_prefix(buf, offset, i)
+    pixels = np.frombuffer(
+        buf, np.uint8, count=shape[0] * shape[1] * shape[2], offset=offset + _FRAME_PREFIX.size
+    ).reshape(shape)
+    pixels.setflags(write=False)
+    return EncodedFrame(pixels, None, None, start, end, empty)
 
 
 # ---------------------------------------------------------------------------

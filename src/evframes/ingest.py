@@ -81,6 +81,8 @@ class AedatLayout:
         if self.type_bit is not None:
             fields.append(("type", 1 << self.type_bit))
         for i, (name_a, bits_a) in enumerate(fields):
+            if bits_a >> 32:
+                raise ValueError(f"{name_a} bit field lies outside the 32-bit address word")
             for name_b, bits_b in fields[i + 1 :]:
                 if bits_a & bits_b:
                     raise ValueError(f"{name_a} and {name_b} bit fields overlap")
@@ -134,9 +136,10 @@ class AedatReader:
 
     ``f`` is a seekable binary file object positioned at the start of the
     file. Construction reads the header and checks that the body holds
-    whole records; iterating once decodes the body and yields one
-    EventStream per block of up to ``_BLOCK_RECORDS`` records that holds
-    DVS events. ``stats`` is complete once the iteration has finished.
+    whole records; each iteration decodes the body from its start and
+    yields one EventStream per block of up to ``_BLOCK_RECORDS`` records
+    that holds DVS events. ``stats`` counts the latest iteration and is
+    complete once it has finished.
     """
 
     def __init__(self, f: BinaryIO, layout: AedatLayout, geometry: SensorGeometry):
@@ -144,13 +147,13 @@ class AedatReader:
         self.layout = layout
         self.geometry = geometry
         self.header_lines = _read_header(f)
-        body_start = f.tell()
-        self.records, extra = divmod(f.seek(0, io.SEEK_END) - body_start, 8)
-        f.seek(body_start)
+        self._body_start = f.tell()
+        self.records, extra = divmod(f.seek(0, io.SEEK_END) - self._body_start, 8)
+        f.seek(self._body_start)
         if extra:
             raise FormatError(
                 f"trailing partial record: {extra} byte(s) at byte offset "
-                f"{body_start + self.records * 8}"
+                f"{self._body_start + self.records * 8}"
             )
         self.events = self.skipped_non_dvs = self.timestamp_wraps = 0
 
@@ -163,6 +166,8 @@ class AedatReader:
 
     def __iter__(self) -> Iterator[EventStream]:
         layout, g = self.layout, self.geometry
+        self._f.seek(self._body_start)
+        self.events = self.skipped_non_dvs = self.timestamp_wraps = 0
         # Carried across blocks: the previous record's raw and unwrapped tick,
         # and the first bad coordinate. A bad coordinate is reported only at
         # the end, because a backward tick anywhere in the file takes
@@ -178,15 +183,23 @@ class AedatReader:
 
             # The tick counter is global to the file: wraps and backward steps
             # are found over all records, before non-DVS records are dropped.
+            # Both are decreasing ticks, which are rare, so they are found with
+            # one compare and told apart afterwards.
             raw = words[:, 1].astype(np.int64)
-            step = np.diff(raw, prepend=raw[0] if last_raw is None else last_raw)
-            wrapped = step < -_WRAP_JUMP
-            n_wraps = int(np.count_nonzero(wrapped))
-            ticks = raw
-            if n_wraps or self.timestamp_wraps:
-                ticks = raw + (np.cumsum(wrapped) + self.timestamp_wraps) * _WRAP_STEP
-                self.timestamp_wraps += n_wraps
-            backward = np.flatnonzero((step < 0) & ~wrapped)
+            down = np.flatnonzero(raw[1:] < raw[:-1]) + 1
+            before = raw[down - 1]
+            if last_raw is not None and raw[0] < last_raw:
+                down, before = np.r_[0, down], np.r_[last_raw, before]
+            wrapped = raw[down] - before < -_WRAP_JUMP
+            wraps = down[wrapped]
+            last_raw = int(raw[-1])
+            ticks = raw  # a copy of the file's words, offset in place
+            if self.timestamp_wraps:
+                ticks += self.timestamp_wraps * _WRAP_STEP
+            if wraps.size:
+                ticks += np.cumsum(np.bincount(wraps, minlength=n)) * _WRAP_STEP
+                self.timestamp_wraps += wraps.size
+            backward = down[~wrapped]
             if backward.size:
                 i = int(backward[0])
                 raise FormatError(
@@ -194,11 +207,11 @@ class AedatReader:
                     f"({ticks[i]} after {ticks[i - 1] if i else last_tick}) "
                     "and is not a 32-bit wrap"
                 )
-            last_raw, last_tick = raw[-1], ticks[-1]
+            last_tick = ticks[-1]
             if bad_coordinate is not None:
                 continue
 
-            addr = words[:, 0].astype(np.int64)
+            addr = words[:, 0].astype(np.uint32)
             is_dvs = None
             if layout.type_bit is not None:
                 is_dvs = (addr >> layout.type_bit) & 1 == 0
@@ -221,7 +234,7 @@ class AedatReader:
                 continue
             negative = ((addr >> layout.polarity_shift) & 1) != layout.polarity_on_value
             p = 1 - 2 * negative.view(np.int8)
-            t = ticks * layout.timestamp_unit
+            t = ticks if layout.timestamp_unit == 1 else ticks * layout.timestamp_unit
             self.events += len(t)
             yield EventStream(g, x.astype(np.int32), y.astype(np.int32), t, p)
         if bad_coordinate is not None:

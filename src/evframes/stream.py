@@ -193,17 +193,23 @@ def truncate_by_ratio(stream: EventStream, ratio: float) -> EventStream:
         raise ValueError("cannot truncate empty stream")
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    span = stream.t_last - stream.t_first
+    return truncate_block(stream, ratio, stream.t_first, stream.t_last)
+
+
+def truncate_block(block: EventStream, ratio: float, t_first: int, t_last: int) -> EventStream:
+    """Truncate one block of a stream whose first and last timestamps are t_first, t_last.
+
+    Keeps the block's events within the first `ratio` of [t_first, t_last],
+    as :func:`truncate_by_ratio` does for the whole stream; the blocks after
+    the first one that loses an event lose all of theirs. A block that
+    keeps every event is returned as is.
+    """
     # Compare offsets (t - t_first) against ratio*span to keep the float
     # comparison exact at ratio=1 for any realistic span.
-    cutoff = ratio * float(span)
-    n_keep = int(np.searchsorted(stream.t - stream.t_first, cutoff, side="right"))
-    if n_keep == len(stream):
-        return stream
+    cutoff = ratio * float(t_last - t_first)
+    n_keep = int(np.searchsorted(block.t - t_first, cutoff, side="right"))
+    if n_keep == len(block):
+        return block
     return EventStream(
-        stream.geometry,
-        stream.x[:n_keep],
-        stream.y[:n_keep],
-        stream.t[:n_keep],
-        stream.p[:n_keep],
+        block.geometry, block.x[:n_keep], block.y[:n_keep], block.t[:n_keep], block.p[:n_keep]
     )

@@ -101,7 +101,10 @@ def segment_blocks(
     A window is yielded as soon as a later event (or the end of the blocks)
     closes it. The open window is kept as one piece per block and joined
     once when it closes, so a window spanning many blocks is copied once.
-    The int64 check on the last window's end runs after the last block.
+    Window ends are searched for at most one per event, and the empty
+    windows of a longer gap are counted out one by one, so memory does not
+    grow with the time span. The int64 check on the last window's end runs
+    after the last block.
     """
     T = config.window_length_us
     t_first = None
@@ -114,16 +117,24 @@ def segment_blocks(
             t_first, geometry = block.t_first, block.geometry
         t_last = block.t_last
         k_last = (t_last - t_first) // T
+        no_events = [(block.x[:0], block.y[:0], block.t[:0], block.p[:0])]
         lo = 0
-        if k_last > k:
-            # Starts of windows k+1..k_last; none is beyond t_last, so int64 holds them.
-            edges = t_first + T * np.arange(k + 1, k_last + 1, dtype=np.int64)
-            for hi in np.searchsorted(block.t, edges, side="left").tolist():
+        while k < k_last:
+            # The ends of the next windows, searched for at once; none is
+            # beyond t_last, so int64 holds them. There are no more of them
+            # than events left in the block, so a time gap costs no memory.
+            n = min(k_last - k, len(block) - lo)
+            edges = t_first + T * np.arange(k + 1, k + n + 1, dtype=np.int64)
+            for hi in block.t.searchsorted(edges).tolist():
                 pieces.append((block.x[lo:hi], block.y[lo:hi], block.t[lo:hi], block.p[lo:hi]))
                 yield _close(geometry, pieces, t_first + k * T, T)
-                pieces = []
-                lo = hi
-                k += 1
+                pieces, lo, k = [], hi, k + 1
+            if k < k_last:
+                # The windows before the next event's are empty: count them out.
+                k_next = (int(block.t[lo]) - t_first) // T
+                for j in range(k, k_next):
+                    yield _close(geometry, no_events, t_first + j * T, T)
+                k = k_next
         pieces.append((block.x[lo:], block.y[lo:], block.t[lo:], block.p[lo:]))
     if t_first is None:
         return

@@ -185,6 +185,19 @@ class TestBoundaries:
         assert reader.stats == ingest.ParseStats(data.count(b"\n"), 0, 0, 0, 0)
 
 
+    def test_second_iteration_reads_the_file_again(self):
+        recs = [davis_record(i, i, 1, (2**32 - 25 + 10 * i) % 2**32, non_dvs=i == 2)
+                for i in range(6)]
+        data = HEADER + b"".join(recs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_RECORDS", 2)
+            reader, first = blocks_of(data, DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
+            stats = reader.stats
+            assert stats.timestamp_wraps == 1 and stats.skipped_non_dvs == 1
+            assert list(reader) == first
+            assert reader.stats == stats
+
+
 class TestErrorMessages:
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_bad_coordinate_in_later_block(self, block):

@@ -6,6 +6,7 @@ from evframes.chunking import (
     POLICY_KEEP,
     apply_empty_policy,
     make_chunks,
+    select_chunks,
 )
 from evframes.encoders import KIND_TIMESTAMP, EncodedFrame
 
@@ -93,3 +94,25 @@ class TestEmptyPolicy:
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown policy"):
             apply_empty_policy([], "discard")
+
+
+class TestSelectChunks:
+    def test_ranges_of_five_frames(self):
+        assert select_chunks([False] * 5) == [range(0, 3), range(1, 4), range(2, 5)]
+
+    @pytest.mark.parametrize("policy", [POLICY_KEEP, POLICY_DROP_ALL_EMPTY])
+    @pytest.mark.parametrize("size,stride", [(3, 1), (1, 1), (2, 2), (4, 3)])
+    def test_matches_chunk_objects(self, policy, size, stride):
+        rng = np.random.default_rng(size * 10 + stride)
+        for _ in range(30):
+            mask = [bool(v) for v in rng.integers(0, 2, size=int(rng.integers(0, 12)))]
+            kept = apply_empty_policy(make_chunks(frames(len(mask), mask), size, stride), policy)
+            assert select_chunks(mask, policy, size, stride) == [
+                range(c.index - size + 1, c.index + 1) for c in kept
+            ]
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="unknown policy"):
+            select_chunks([], "discard")
+        with pytest.raises(ValueError, match="size and stride"):
+            select_chunks([False] * 4, POLICY_KEEP, size=0)

@@ -1,15 +1,22 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from evframes import ingest
+from evframes import formats, ingest
 from evframes.cli import main
 from evframes.encoders import KIND_EVENT_COUNT, POLARITY_MERGED, EncodedFrame
-from evframes.formats import read_frame_tensor, write_frame_tensor
-from evframes.ingest import parse_text
-from evframes.stream import SensorGeometry
+from evframes.formats import (
+    read_frame_tensor,
+    write_frame_tensor,
+    write_frame_tensor_to,
+    write_pgm,
+    write_ppm,
+)
+from evframes.ingest import DAVIS240C_LAYOUT, parse_aedat2, parse_text, write_text
+from evframes.stream import DAVIS240C_GEOMETRY, SensorGeometry, truncate_by_ratio
 
 from tests.test_ingest import HEADER, davis_record, dvs128_record
 
@@ -20,6 +27,29 @@ def run(*argv):
 
 def write_events(path, lines):
     path.write_text("".join(line + "\n" for line in lines))
+
+
+def traced_peak(*argv):
+    """(exit code, peak bytes traced by tracemalloc) of one main() call."""
+    tracemalloc.start()
+    try:
+        code = run(*argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def davis_file(path, n, seed=0):
+    """An n-record DAVIS240C file with a tick wrap and ~10% non-DVS records."""
+    rng = np.random.default_rng(seed)
+    ticks = (2**32 - n // 2 * 50 + np.cumsum(rng.integers(0, 100, n))) % 2**32
+    addr = (
+        (rng.integers(0, 180, n) << 22)
+        | (rng.integers(0, 240, n) << 12)
+        | (rng.integers(0, 2, n) << 11)
+        | ((rng.random(n) < 0.1).astype(np.int64) << 31)
+    )
+    path.write_bytes(HEADER + np.stack([addr, ticks], axis=1).astype(">u4").tobytes())
 
 
 def intensity_tensor(path, values, dt_us=1000):
@@ -144,6 +174,29 @@ class TestEncode:
         assert results[0] == results[1]
         assert len(results[0][1]) == len(read_frame_tensor(results[0][0]).frames) > 10
 
+    @pytest.mark.parametrize("polarity,image", [("merged", write_ppm), ("ignore", write_pgm)])
+    def test_emitted_images_are_the_tensor_frames(self, tmp_path, polarity, image):
+        src = tmp_path / "rec.aedat"
+        davis_file(src, 500)
+        out, imgs = tmp_path / "frames.evfr", tmp_path / "imgs"
+        argv = ("--layout", "davis240c", "--window-us", 2000, "--polarity", polarity)
+        assert run("encode", src, out, *argv, "--emit-images", imgs) == 0
+        frames = read_frame_tensor(out.read_bytes()).frames
+        assert [p.read_bytes() for p in sorted(imgs.iterdir())] == [
+            image(f.pixels) for f in frames
+        ]
+        assert len(frames) > 5
+
+    def test_frame_count_limit_is_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_FRAME_COUNT", 2)
+        src = tmp_path / "ev.txt"
+        write_events(src, ["0 1 1 1", "250000 2 2 -1"])
+        assert run("encode", src, tmp_path / "frames.evfr", "--geometry", "16x16") == 1
+        assert capsys.readouterr().err == (
+            "evframes: frame tensor format version 1 holds at most 2 frames\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.txt"]
+
     def test_aedat_input_autodetected(self, tmp_path):
         src = tmp_path / "rec.aedat"
         src.write_bytes(HEADER + dvs128_record(5, 6, 1, 100) + dvs128_record(7, 8, -1, 200))
@@ -195,6 +248,41 @@ class TestChunk:
         manifest = tmp_path / "chunks.txt"
         assert run("chunk", path, "-o", manifest) == 0
         assert manifest.read_text() == "0 1 2\n1 2 3\n"
+
+    def test_reads_only_frame_prefixes(self, tmp_path):
+        path, manifest = tmp_path / "frames.evfr", tmp_path / "chunks.txt"
+        pixels = np.zeros((128, 128, 3), dtype=np.uint8)
+        with open(path, "wb") as f:
+            write_frame_tensor_to(
+                f, (EncodedFrame(pixels, None, None, i, i + 1, i % 4 > 0) for i in range(200))
+            )
+        assert path.stat().st_size > 9_000_000
+        code, peak = traced_peak("chunk", path, "--policy", "drop_all_empty_chunks", "-o", manifest)
+        assert code == 0
+        assert peak < 1 << 20
+        assert manifest.read_text() == "".join(
+            f"{j - 2} {j - 1} {j}\n" for j in range(2, 200) if j % 4 < 3
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda d: b"JUNK" + d[4:], "bad magic b'JUNK', expected b'EVFR'"),
+            (lambda d: d[:-1], "file length 165 does not match header "
+                               "(5 frames of 2x2x3 need 166 bytes)"),
+            (lambda d: d[:21 + 3 * 29 + 16] + b"\x02" + d[21 + 3 * 29 + 17 :],
+             "frame 3: empty flag must be 0 or 1, got 2"),
+        ],
+        ids=["magic", "truncated", "flag"],
+    )
+    def test_corrupt_tensor_is_data_error(self, tmp_path, capsys, corrupt, message):
+        path = tmp_path / "frames.evfr"
+        self.write_tensor(path, 5)
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert run("chunk", path) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"evframes: {message}\n"
+        assert captured.out == ""
 
 
 class TestAggregate:
@@ -283,6 +371,44 @@ class TestTruncate:
         kept = out.read_text().splitlines()
         assert len(kept) == 100
         assert kept[-1].startswith("99 ")
+
+    @pytest.mark.parametrize("block", [3, 64, ingest._BLOCK_RECORDS])
+    @pytest.mark.parametrize("ratio", [1.0, 0.1, 0.05])
+    def test_matches_library_truncation(self, tmp_path, monkeypatch, block, ratio):
+        src, out = tmp_path / "rec.aedat", tmp_path / "out.txt"
+        davis_file(src, 300)
+        stream = parse_aedat2(src.read_bytes(), DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
+        monkeypatch.setattr(ingest, "_BLOCK_RECORDS", block)
+        assert run("truncate", src, out, "--layout", "davis240c", "--ratio", ratio) == 0
+        assert out.read_text() == write_text(truncate_by_ratio(stream, ratio))
+
+    def test_memory_stays_within_a_few_blocks(self, tmp_path, monkeypatch):
+        # One block of 1000 records costs about 0.3 MB, mostly its text;
+        # the whole 100k-record stream would cost about 25 MB.
+        src, out = tmp_path / "rec.aedat", tmp_path / "out.txt"
+        davis_file(src, 100_000)
+        monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 1000)
+        code, peak = traced_peak("truncate", src, out, "--layout", "davis240c", "--ratio", 0.9)
+        assert code == 0
+        assert peak < 1 << 20
+        assert len(out.read_text().splitlines()) > 80_000
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            (b"", "cannot truncate empty stream"),
+            (b"".join(dvs128_record(9 if i == 5 else 1, 1, 1, i) for i in range(8)),
+             "record 5: coordinate (9, 1) outside 8x8 geometry"),
+        ],
+        ids=["empty", "bad-coordinate"],
+    )
+    def test_data_error_writes_nothing(self, tmp_path, capsys, monkeypatch, body, message):
+        monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 2)
+        src = tmp_path / "rec.aedat"
+        src.write_bytes(HEADER + body)
+        assert run("truncate", src, tmp_path / "out.txt", "--geometry", "8x8", "--ratio", 1) == 1
+        assert capsys.readouterr().err == f"evframes: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.aedat"]
 
     @pytest.mark.parametrize("ratio", ["1.5", "0", "-0.1"])
     def test_out_of_range_ratio_is_usage_error(self, tmp_path, ratio):

@@ -3,10 +3,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evframes import formats
 
 from evframes.encoders import KIND_EVENT_COUNT, POLARITY_MERGED, EncodedFrame
 from evframes.formats import (
     FRAME_TENSOR_MAGIC,
+    FrameTensorReader,
     parse_scores,
     read_frame_tensor,
     write_frame_tensor,
@@ -126,6 +131,150 @@ class TestFrameTensor:
         frames = make_frames(2) + make_frames(1, shape=(4, 3, 3))
         with pytest.raises(ValueError, match=r"^frame 2: shape \(4, 3, 3\) does not match \(3, 4, 3\)$"):
             write_frame_tensor_to(io.BytesIO(), iter(frames))
+
+
+def as_row(frame):
+    return (frame.window_start, frame.window_end, frame.empty, frame.pixels.shape,
+            frame.pixels.tobytes())
+
+
+def outcome(read, row=as_row):
+    """The items read, each passed through row, or the FormatError message."""
+    try:
+        return [row(item) for item in read()]
+    except FormatError as exc:
+        return str(exc)
+
+
+def three_readings(data):
+    """read_frame_tensor and both FrameTensorReader iterations of the same bytes."""
+    whole = outcome(lambda: read_frame_tensor(data).frames)
+    frames = outcome(lambda: FrameTensorReader(io.BytesIO(data)).frames())
+    prefixes = outcome(lambda: FrameTensorReader(io.BytesIO(data)).prefixes(), tuple)
+    return whole, frames, prefixes
+
+
+def assert_readings_agree(data):
+    whole, frames, prefixes = three_readings(data)
+    assert frames == whole
+    if isinstance(whole, str):
+        assert prefixes == whole
+    else:
+        assert prefixes == [(start, end, empty) for start, end, empty, _, _ in whole]
+
+
+class TestFrameTensorReader:
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_matches_read_frame_tensor(self, n):
+        data = write_frame_tensor(make_frames(n), shape=(3, 4, 3))
+        f = io.BytesIO(b"prefix" + data)
+        f.seek(6)
+        reader = FrameTensorReader(f)
+        assert (reader.width, reader.height, reader.channels, reader.frame_count) == (4, 3, 3, n)
+        tensor = read_frame_tensor(data)
+        for _ in range(2):  # each iteration starts again at the first frame
+            assert list(reader.frames()) == tensor.frames
+            assert list(reader.prefixes()) == [
+                (fr.window_start, fr.window_end, fr.empty) for fr in tensor.frames
+            ]
+
+    def test_frames_are_read_only(self):
+        frame = next(FrameTensorReader(io.BytesIO(write_frame_tensor(make_frames(2)))).frames())
+        with pytest.raises(ValueError):
+            frame.pixels[0, 0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: b"JUNK" + d[4:],
+            lambda d: d[:4] + b"\x09" + d[5:],
+            lambda d: d[:-1],
+            lambda d: d + b"\x00",
+            lambda d: d[:10],
+            lambda d: b"",
+        ],
+        ids=["magic", "version", "short", "long", "header", "empty"],
+    )
+    def test_header_errors_match_read_frame_tensor(self, corrupt):
+        data = corrupt(write_frame_tensor(make_frames(3)))
+        with pytest.raises(FormatError) as whole:
+            read_frame_tensor(data)
+        with pytest.raises(FormatError) as streamed:
+            FrameTensorReader(io.BytesIO(data))
+        assert str(streamed.value) == str(whole.value)
+
+    def test_bad_flag_raised_when_its_frame_is_reached(self):
+        data = bytearray(write_frame_tensor(make_frames(4)))
+        data[21 + 2 * (17 + 36) + 16] = 7
+        message = "frame 2: empty flag must be 0 or 1, got 7"
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            read_frame_tensor(bytes(data))
+        reader = FrameTensorReader(io.BytesIO(bytes(data)))
+        for iteration in (reader.frames(), reader.prefixes()):
+            assert len([next(iteration), next(iteration)]) == 2
+            with pytest.raises(FormatError, match=f"^{message}$"):
+                next(iteration)
+
+
+class TestFrameCountLimit:
+    def test_writer_names_the_limit_before_exceeding_it(self, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_FRAME_COUNT", 2)
+        assert len(read_frame_tensor(write_frame_tensor(make_frames(2))).frames) == 2
+        with pytest.raises(
+            ValueError, match=r"^frame tensor format version 1 holds at most 2 frames$"
+        ):
+            write_frame_tensor(make_frames(3))
+
+    def test_limit_is_the_u32_count_field(self):
+        assert formats.MAX_FRAME_COUNT == 2**32 - 1
+
+
+@st.composite
+def valid_tensors(draw):
+    """(frames, frame-tensor bytes) with 0-4 frames of up to 3x3x3 pixels."""
+    shape = (draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.sampled_from([1, 3])))
+    size = shape[0] * shape[1] * shape[2]
+    bound = st.integers(-(2**63), 2**63 - 1)
+    frames = [
+        EncodedFrame(
+            np.frombuffer(draw(st.binary(min_size=size, max_size=size)), np.uint8).reshape(shape),
+            None, None, draw(bound), draw(bound), draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return frames, write_frame_tensor(frames, shape)
+
+
+@st.composite
+def tensor_files(draw):
+    """Frame-tensor bytes: random, or valid with one byte changed, cut short or extended."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=120))
+    data = bytearray(draw(valid_tensors())[1])
+    mutation = draw(st.sampled_from(["byte", "cut", "extend"]))
+    if mutation == "byte":
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    elif mutation == "cut":
+        del data[draw(st.integers(0, len(data) - 1)) :]
+    else:
+        data += draw(st.binary(min_size=1, max_size=20))
+    return bytes(data)
+
+
+class TestFrameTensorFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tensor_files())
+    def test_readers_return_alike_or_raise_the_same_format_error(self, data):
+        # Any exception other than FormatError fails the property.
+        assert_readings_agree(data)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(valid_tensors())
+    def test_readers_agree_on_valid_tensors(self, case):
+        frames, data = case
+        whole, streamed, prefixes = three_readings(data)
+        assert whole == streamed == [as_row(f) for f in frames]
+        assert prefixes == [(f.window_start, f.window_end, f.empty) for f in frames]
 
 
 class TestScoreFile:

@@ -140,6 +140,13 @@ class TestAedatLayout:
                 polarity_shift=15, polarity_on_value=1,
             )
 
+    def test_field_outside_the_address_word_rejected(self):
+        with pytest.raises(ValueError, match="x bit field lies outside the 32-bit"):
+            AedatLayout(
+                x_shift=28, x_mask=0x7F, y_shift=8, y_mask=0x7F,
+                polarity_shift=0, polarity_on_value=1,
+            )
+
     def test_bad_polarity_on_value(self):
         with pytest.raises(ValueError):
             AedatLayout(

@@ -1,8 +1,11 @@
+import tracemalloc
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from evframes.stream import DVS128_GEOMETRY, EventStream, truncate_by_ratio
-from evframes.windowing import EventWindow, WindowConfig, segment
+from evframes.windowing import EventWindow, WindowConfig, segment, segment_blocks
 
 from .test_stream import make_stream, random_stream
 
@@ -102,3 +105,48 @@ class TestSegment:
     def test_windows_share_stream_geometry(self):
         s = make_stream([(0, 0, 0, 1)])
         assert segment(s, WindowConfig())[0].geometry == s.geometry
+
+
+def split(stream, cuts):
+    """The stream as consecutive blocks, cut before the given event indices."""
+    bounds = [0, *cuts, len(stream)]
+    return [
+        EventStream(stream.geometry, stream.x[a:b], stream.y[a:b], stream.t[a:b], stream.p[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+class TestSegmentBlocks:
+    @pytest.mark.parametrize("T", [1, 7, 100])
+    def test_gappy_blocks_match_brute_force(self, T):
+        rng = np.random.default_rng(T)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            gaps = np.where(rng.random(n) < 0.2, rng.integers(0, 60 * T, n), rng.integers(0, T, n))
+            s = EventStream(DVS128_GEOMETRY, rng.integers(0, 128, n), rng.integers(0, 128, n),
+                            np.cumsum(gaps), rng.choice([-1, 1], n))
+            cuts = np.sort(rng.choice(np.arange(n + 1), size=int(rng.integers(0, n + 1))))
+            windows = list(segment_blocks(split(s, cuts.tolist()), WindowConfig(T)))
+            index = brute_force_assignment(s, T)
+            t_first = int(s.t[0])
+            assert len(windows) == index[-1] + 1
+            for k, w in enumerate(windows):
+                assert (w.window_start, w.window_end) == (t_first + k * T, t_first + (k + 1) * T)
+                assert w.t.tolist() == [int(t) for t, i in zip(s.t, index) if i == k]
+
+    def test_time_gap_yields_first_windows_in_bounded_memory(self):
+        # Two events 4.3e9 us apart are 4.3 million windows of 1 ms.
+        s = make_stream([(1, 2, 5, 1), (3, 4, 4_300_000_005, -1)])
+        windows = segment_blocks([s], WindowConfig(1000))
+        tracemalloc.start()
+        try:
+            first = next(windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        following = list(islice(windows, 3))
+        assert [(w.window_start, len(w)) for w in [first, *following]] == [
+            (5, 1), (1005, 0), (2005, 0), (3005, 0)
+        ]
+        assert first.x.tolist() == [1] and first.y.tolist() == [2]

@@ -72,7 +72,7 @@ def make_chunks(
     in the error.
     """
     ranges = select_chunks([f.empty for f in frames], POLICY_KEEP, size, stride)
-    if len(frames) >= 2:
+    if len({(f.pixels.shape, f.kind, f.polarity_mode) for f in frames}) > 1:
         first = frames[0]
         for i, f in enumerate(frames[1:], start=1):
             if (f.width, f.height, f.channels) != (first.width, first.height, first.channels):

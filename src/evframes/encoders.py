@@ -18,7 +18,9 @@ the timestamp kind and is the joint maximum over both polarity fields for
 the count kind, so each frame is self-normalized.
 
 Frames and fields come from one scatter: every event of the window gets its
-raster cell and a value, and each cell keeps the largest value it receives.
+raster cell and a value. A count cell is assigned, since every event of a
+cell carries the same count; a timestamp cell keeps the largest value it
+receives.
 """
 
 from __future__ import annotations
@@ -89,20 +91,28 @@ def _scatter(window: EventWindow, kind: str, channels: int):
     With more than one channel, negative events go to channel 1 and positive
     ones to channel 0. A timestamp value is the event's normalized time (1.0
     when all events share one timestamp), so the per-cell maximum is the
-    pixel's latest event; a count value is the event's own cell count, the
-    same for every event of a cell. v_max is 1.0 for timestamps and the
-    largest count (the joint maximum over channels) for counts.
+    pixel's latest event; a count value is the event's own (int64) cell
+    count, the same for every event of a cell. v_max is 1.0 for timestamps
+    and the largest count (the joint maximum over channels) for counts.
     """
     cell = window.y.astype(np.int64) * window.geometry.width + window.x
     if channels > 1:
         cell = cell * channels + (window.p < 0)
     if kind == KIND_EVENT_COUNT:
-        value = np.bincount(cell)[cell].astype(np.float64)
+        value = np.bincount(cell)[cell]
         return cell, value, float(value.max())
     t_begin, t_end = window.t_begin, window.t_end
     if t_end == t_begin:
         return cell, np.ones(len(cell)), 1.0
     return cell, (window.t - t_begin) / (t_end - t_begin), 1.0
+
+
+def _put(flat: np.ndarray, cell: np.ndarray, value: np.ndarray, kind: str) -> None:
+    """Write each event's value into its cell: counts by assignment, timestamps by maximum."""
+    if kind == KIND_EVENT_COUNT:
+        flat[cell] = value
+    else:
+        np.maximum.at(flat, cell, value)
 
 
 def _field(window: EventWindow, kind: str, polarity: int | None) -> np.ndarray:
@@ -111,7 +121,7 @@ def _field(window: EventWindow, kind: str, polarity: int | None) -> np.ndarray:
     raster = np.zeros((g.height, g.width, channels))
     if not window.empty:
         cell, value, _ = _scatter(window, kind, channels)
-        np.maximum.at(raster.reshape(-1), cell, value)
+        _put(raster.reshape(-1), cell, value, kind)
     return raster[..., 1 if polarity == -1 else 0]
 
 
@@ -134,11 +144,16 @@ def quantize(field: np.ndarray, v_max: float) -> np.ndarray:
 
     The order of operations matters: multiplying by a precomputed
     255.0 / v_max can land a hair below exact halves (e.g. 25 of 50 must
-    give 127.5 -> 128), so scale before dividing.
+    give 127.5 -> 128), so scale before dividing. Integer counts promote
+    exactly; a v_max of 1.0 skips the division, which would change nothing.
     """
     if v_max <= 0.0:
         return np.zeros(field.shape, dtype=np.uint8)
-    return np.floor(field * 255.0 / v_max + 0.5).astype(np.uint8)
+    scaled = np.multiply(field, 255.0)
+    if v_max != 1.0:
+        scaled /= v_max
+    scaled += 0.5
+    return np.floor(scaled).astype(np.uint8)
 
 
 _CHANNELS = {POLARITY_MERGED: 3, POLARITY_IGNORE: 1}
@@ -147,9 +162,9 @@ _CHANNELS = {POLARITY_MERGED: 3, POLARITY_IGNORE: 1}
 def encode_window(window: EventWindow, kind: str, polarity_mode: str) -> EncodedFrame:
     """Encode one window as a 3-channel (merged) or 1-channel (ignore) frame.
 
-    Each event's quantized value is scattered into its cell with a maximum.
-    That equals quantizing the field, because quantize is monotone and
-    every value is >= 0, so untouched cells stay at the field's 0.
+    Each event's quantized value is scattered into its cell as in the
+    fields. That equals quantizing the field, because quantize is monotone
+    and every value is >= 0, so untouched cells stay at the field's 0.
     """
     if polarity_mode not in _CHANNELS:
         raise ValueError(f"unknown polarity mode {polarity_mode!r}")
@@ -159,7 +174,7 @@ def encode_window(window: EventWindow, kind: str, polarity_mode: str) -> Encoded
     pixels = np.zeros((g.height, g.width, _CHANNELS[polarity_mode]), dtype=np.uint8)
     if not window.empty:
         cell, value, v_max = _scatter(window, kind, pixels.shape[2])
-        np.maximum.at(pixels.reshape(-1), cell, quantize(value, v_max))
+        _put(pixels.reshape(-1), cell, quantize(value, v_max), kind)
     return EncodedFrame(
         pixels, kind, polarity_mode, window.window_start, window.window_end, window.empty
     )

@@ -48,6 +48,10 @@ _HEADER = struct.Struct("<4sBIIII")
 _COUNT = struct.Struct("<I")
 _COUNT_OFFSET = _HEADER.size - _COUNT.size  # frame_count ends the header
 _FRAME_PREFIX = struct.Struct("<qqB")
+# The same prefix as a numpy record, for decoding every prefix at once.
+_PREFIX_RECORD = np.dtype(
+    [(name, "<" + code) for name, code in zip(("start", "end", "empty"), _FRAME_PREFIX.format[1:])]
+)
 
 # frame_count is a u32 in format version 1.
 MAX_FRAME_COUNT = (1 << 32) - 1
@@ -118,10 +122,21 @@ def read_frame_tensor(data: bytes) -> FrameTensor:
     The frames' pixels are read-only views of data.
     """
     width, height, channels, frame_count = _unpack_header(data, len(data))
-    shape = (height, width, channels)
     size = _FRAME_PREFIX.size + height * width * channels
+    body = np.frombuffer(data, np.uint8, count=frame_count * size, offset=_HEADER.size)
+    body = body.reshape(frame_count, size)
+    body.setflags(write=False)
+    prefixes = body[:, : _FRAME_PREFIX.size].view(_PREFIX_RECORD)[:, 0]
+    pixels = body[:, _FRAME_PREFIX.size :].reshape(frame_count, height, width, channels)
+    flags = prefixes["empty"]
+    bad = np.flatnonzero(flags > 1)
+    if bad.size:
+        raise _bad_flag(int(bad[0]), int(flags[bad[0]]))
     frames = [
-        _unpack_frame(data, _HEADER.size + i * size, i, shape) for i in range(frame_count)
+        EncodedFrame(p, None, None, start, end, empty)
+        for p, start, end, empty in zip(
+            pixels, prefixes["start"].tolist(), prefixes["end"].tolist(), (flags == 1).tolist()
+        )
     ]
     return FrameTensor(width, height, channels, frames)
 
@@ -187,8 +202,12 @@ def _unpack_prefix(buf: bytes, offset: int, i: int) -> tuple[int, int, bool]:
     """Frame i's (window_start, window_end, empty) from the prefix at offset."""
     start, end, flag = _FRAME_PREFIX.unpack_from(buf, offset)
     if flag not in (0, 1):
-        raise FormatError(f"frame {i}: empty flag must be 0 or 1, got {flag}")
+        raise _bad_flag(i, flag)
     return start, end, bool(flag)
+
+
+def _bad_flag(i: int, flag: int) -> FormatError:
+    return FormatError(f"frame {i}: empty flag must be 0 or 1, got {flag}")
 
 
 def _unpack_frame(buf: bytes, offset: int, i: int, shape: tuple[int, int, int]) -> EncodedFrame:
@@ -221,7 +240,7 @@ def write_scores(vectors: Sequence[ScoreVector], class_names: Sequence[str] | No
         header += " classes=" + ",".join(class_names)
     lines = [header]
     for v in sorted(vectors, key=lambda v: v.chunk_index):
-        lines.append(",".join([str(v.chunk_index)] + [repr(float(s)) for s in v.scores]))
+        lines.append(",".join([str(v.chunk_index), *map(repr, v.scores.tolist())]))
     return "\n".join(lines) + "\n"
 
 

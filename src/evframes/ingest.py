@@ -305,11 +305,9 @@ def parse_text(text: str, geometry: SensorGeometry) -> EventStream:
 
 def write_text(stream: EventStream) -> str:
     """Serialize a stream as ``t x y p`` lines; parse_text inverts it exactly."""
-    if len(stream) == 0:
-        return ""
     cols = np.empty((len(stream), 4), dtype=np.int64)
     cols[:, 0] = stream.t
     cols[:, 1] = stream.x
     cols[:, 2] = stream.y
     cols[:, 3] = stream.p
-    return "\n".join(" ".join(str(v) for v in row) for row in cols.tolist()) + "\n"
+    return ("%d %d %d %d\n" * len(stream)) % tuple(cols.ravel().tolist())

@@ -25,7 +25,7 @@ class ScoreVector:
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.ndim != 1 or scores.size == 0:
             raise ValueError("scores must be a non-empty vector")
-        if not np.all(np.isfinite(scores)):
+        if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
         object.__setattr__(self, "scores", scores)
 

@@ -61,6 +61,21 @@ class TestMakeChunks:
         with pytest.raises(ValueError, match="frame 1.*kind"):
             make_chunks(fs)
 
+    def test_mixed_polarity_mode_rejected(self):
+        fs = frames(4)
+        fs[3] = make_frame(3, polarity_mode="ignore")
+        with pytest.raises(
+            ValueError, match=r"^frame 3: polarity mode 'ignore' does not match 'merged'$"
+        ):
+            make_chunks(fs)
+
+    def test_first_of_several_mismatches_is_named(self):
+        fs = frames(5)
+        fs[4] = make_frame(4, kind="event_count")
+        fs[2] = make_frame(2, shape=(4, 5, 3))
+        with pytest.raises(ValueError, match=r"^frame 2: shape 5x4x3 does not match frame 0 \(4x4x3\)$"):
+            make_chunks(fs)
+
     def test_custom_size_and_stride(self):
         chunks = make_chunks(frames(6), size=2, stride=2)
         assert [c.frame_indices for c in chunks] == [(0, 1), (2, 3), (4, 5)]

@@ -217,6 +217,14 @@ class TestQuantize:
     def test_max_maps_to_255(self):
         assert quantize(np.array([[7.0]]), 7.0)[0, 0] == 255
 
+    def test_matches_scale_divide_round_formula(self):
+        # Only a v_max of exactly 1.0 may skip the division.
+        rng = np.random.default_rng(41)
+        for v_max in (0.3, 0.5, 1.0, 1.0 + 2**-52, 2.0, 7.0):
+            field = rng.random(200) * v_max
+            expected = np.floor(field * 255.0 / v_max + 0.5).astype(np.uint8)
+            np.testing.assert_array_equal(quantize(field, v_max), expected)
+
 
 class TestEncodeMerged:
     def test_positive_only_leaves_channel1_zero(self):

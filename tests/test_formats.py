@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evframes import formats
@@ -111,6 +111,29 @@ class TestFrameTensor:
         tensor = read_frame_tensor(write_frame_tensor(make_frames(1)))
         with pytest.raises(ValueError):
             tensor.frames[0].pixels[0, 0, 0] = 1
+
+    def test_first_bad_flag_is_named(self):
+        data = bytearray(write_frame_tensor(make_frames(5)))
+        frame_bytes = 17 + 3 * 4 * 3
+        data[21 + 3 * frame_bytes + 16] = 2
+        data[21 + 1 * frame_bytes + 16] = 7
+        message = r"^frame 1: empty flag must be 0 or 1, got 7$"
+        with pytest.raises(FormatError, match=message):
+            read_frame_tensor(bytes(data))
+        with pytest.raises(FormatError, match=message):
+            list(FrameTensorReader(io.BytesIO(bytes(data))).prefixes())
+
+    def test_pixels_of_writable_input_are_read_only_views(self):
+        frames = make_frames(4)
+        data = bytearray(write_frame_tensor(frames))
+        whole = np.frombuffer(data, dtype=np.uint8)
+        back = read_frame_tensor(data).frames
+        assert back == [EncodedFrame(f.pixels, None, None, f.window_start, f.window_end, f.empty)
+                        for f in frames]
+        for frame in back:
+            assert not frame.pixels.flags.writeable
+            assert np.shares_memory(frame.pixels, whole)
+        assert all(type(f.empty) is bool and type(f.window_start) is int for f in back)
 
     def test_read_pixels_are_views_of_the_input(self):
         data = write_frame_tensor(make_frames(3))
@@ -338,6 +361,54 @@ class TestScoreFile:
             write_scores([ScoreVector([1.0], 0)], class_names=["a,b"])
         with pytest.raises(ValueError, match="1 class names"):
             write_scores([ScoreVector([1.0, 2.0], 0)], class_names=["a"])
+
+
+score_vectors = st.integers(1, 5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
+        min_size=1,
+        max_size=8,
+    )
+)
+class_names = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), blacklist_characters=","),
+    max_size=4,
+)
+score_fragments = st.sampled_from(
+    ["# k=", "# k=2", "classes=", "a,b", ",", "#", "\n", "\r\n", " ", "0", "-3", "1.5", "1e999",
+     "nan", "inf", "x", "9" * 5000, "\x1c", "\u2028", "k=0", "k=-1", "k=x"]
+)
+score_texts = st.one_of(st.text(), st.lists(score_fragments, max_size=30).map("".join))
+
+
+class TestScoreFileFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(score_texts)
+    @example("# k=1\n0,1e999\n")
+    @example("# k=1\n" + "9" * 5000 + ",0.5\n")
+    def test_arbitrary_text_parses_or_raises_format_error(self, text):
+        # Any exception other than FormatError fails the property.
+        try:
+            vectors, names = parse_scores(text)
+        except FormatError:
+            return
+        assert all(isinstance(v, ScoreVector) for v in vectors)
+        assert names is None or isinstance(names, list)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(score_vectors, st.data())
+    def test_written_scores_round_trip_bit_for_bit(self, rows, data):
+        k = len(rows[0])
+        indices = sorted(data.draw(st.sets(st.integers(-(2**70), 2**70), min_size=len(rows),
+                                           max_size=len(rows))))
+        names = data.draw(st.none() | st.lists(class_names, min_size=k, max_size=k))
+        vectors = [ScoreVector(r, i) for r, i in zip(rows, indices)]
+        text = write_scores(vectors, names)
+        back, back_names = parse_scores(text)
+        assert back_names == names
+        assert [v.chunk_index for v in back] == indices
+        assert [v.scores.tobytes() for v in back] == [v.scores.tobytes() for v in vectors]
+        assert write_scores(back, back_names) == text
 
 
 class TestPortableImages:

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evframes.ingest import (
     DAVIS240C_LAYOUT,
@@ -227,3 +229,37 @@ class TestRoundTrip:
                 rng.choice([-1, 1], size=n),
             )
             assert parse_text(write_text(s), DVS128_GEOMETRY) == s
+
+
+def per_line_text(stream):
+    """The per-line writer that write_text's single format call replaced."""
+    if len(stream) == 0:
+        return ""
+    cols = np.empty((len(stream), 4), dtype=np.int64)
+    cols[:, 0] = stream.t
+    cols[:, 1] = stream.x
+    cols[:, 2] = stream.y
+    cols[:, 3] = stream.p
+    return "\n".join(" ".join(str(v) for v in row) for row in cols.tolist()) + "\n"
+
+
+TEXT_GEOMETRY = SensorGeometry(7, 5)
+text_events = st.lists(
+    st.tuples(
+        st.integers(0, 6), st.integers(0, 4), st.integers(0, 2**63 - 1), st.sampled_from([-1, 1])
+    ),
+    max_size=40,
+)
+
+
+class TestWriteText:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text_events)
+    @example([(0, 0, 0, -1)])
+    @example([(6, 4, 2**63 - 1, -1)])
+    @example([(1, 2, 0, 1), (3, 4, 0, -1), (5, 0, 2**63 - 1, -1)])
+    def test_matches_the_per_line_writer(self, events):
+        s = EventStream.from_events(TEXT_GEOMETRY, sorted(events, key=lambda e: e[2]))
+        text = write_text(s)
+        assert text == per_line_text(s)
+        assert parse_text(text, TEXT_GEOMETRY) == s

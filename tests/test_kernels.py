@@ -9,6 +9,7 @@ from evframes.encoders import (
     KIND_TIMESTAMP,
     POLARITY_IGNORE,
     POLARITY_MERGED,
+    encode_window,
     event_count_field,
     quantize,
     timestamp_field,
@@ -124,6 +125,44 @@ class TestLoopVsNumpy:
                 a = _kernels._simulate_crossings_loop(log_frames, times, 0.2, refractory)
                 b = _kernels.simulate_crossings_numpy(log_frames, times, 0.2, refractory)
                 assert_same_events(a, b, width=log_frames.shape[2])
+
+
+def one_window(geometry, events):
+    """A window over (x, y, p) events at times 0, 1, 2, ..."""
+    x, y, p = (np.array(c) for c in zip(*events))
+    t = np.arange(len(events), dtype=np.int64)
+    return EventWindow(geometry, x.astype(np.int32), y.astype(np.int32), t, p.astype(np.int8),
+                       0, len(events))
+
+
+class TestCountFrameShortcut:
+    """Count cells are assigned, not maximum-scattered: all events of a cell carry one count."""
+
+    @pytest.mark.parametrize("polarity_mode", [POLARITY_MERGED, POLARITY_IGNORE])
+    def test_all_events_in_one_cell(self, polarity_mode):
+        rng = np.random.default_rng(8)
+        w = one_window(SensorGeometry(5, 4), [(3, 2, int(p)) for p in rng.choice([-1, 1], 37)])
+        frame = encode_window(w, KIND_EVENT_COUNT, polarity_mode)
+        np.testing.assert_array_equal(frame.pixels, loop_frame(w, KIND_EVENT_COUNT, polarity_mode))
+        assert np.count_nonzero(frame.pixels) == (2 if polarity_mode == POLARITY_MERGED else 1)
+
+    def test_both_polarities_on_one_pixel(self):
+        # Pixel (1, 1) gets 3 positive and 5 negative events, interleaved.
+        events = [(1, 1, 1), (1, 1, -1), (0, 2, 1), (1, 1, -1), (1, 1, 1), (4, 3, -1),
+                  (1, 1, -1), (1, 1, -1), (0, 2, 1), (1, 1, 1), (1, 1, -1)]
+        w = one_window(SensorGeometry(5, 4), events)
+        pixels = encode_window(w, KIND_EVENT_COUNT, POLARITY_MERGED).pixels
+        np.testing.assert_array_equal(pixels, loop_frame(w, KIND_EVENT_COUNT, POLARITY_MERGED))
+        assert pixels[1, 1].tolist() == [153, 255, 0]  # round(255 * 3/5), 5 of v_max 5
+        assert pixels[2, 0].tolist() == [102, 0, 0]
+        assert pixels[3, 4].tolist() == [0, 51, 0]
+
+    def test_quantize_int64_counts_equal_their_float64_values(self):
+        for v_max in range(1, 513):
+            counts = np.arange(v_max + 1, dtype=np.int64)
+            q = quantize(counts, float(v_max))
+            np.testing.assert_array_equal(q, quantize(counts.astype(np.float64), float(v_max)))
+            np.testing.assert_array_equal(q, (510 * counts + v_max) // (2 * v_max))
 
 
 @needs_numba

@@ -9,7 +9,6 @@ streams from intensity frames with an ideal contrast-threshold sensor
 model. The ``evframes`` CLI drives the same pipeline over files.
 """
 
-from ._kernels import BACKEND
 from .chunking import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_STRIDE,
@@ -71,6 +70,9 @@ from .stream import (
 from .windowing import DEFAULT_WINDOW_US, EventWindow, WindowConfig, segment, segment_blocks
 
 __version__ = "0.1.0"
+
+# The simulator has one implementation; reports name it.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

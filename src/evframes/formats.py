@@ -234,9 +234,10 @@ def write_scores(vectors: Sequence[ScoreVector], class_names: Sequence[str] | No
     if class_names is not None:
         if len(class_names) != k:
             raise ValueError(f"got {len(class_names)} class names for {k} classes")
+        # parse_scores splits the header at whitespace and the names at commas.
         for name in class_names:
-            if "," in name or "\n" in name:
-                raise ValueError(f"class name {name!r} may not contain commas or newlines")
+            if "," in name or any(c.isspace() for c in name):
+                raise ValueError(f"class name {name!r} may not contain commas or whitespace")
         header += " classes=" + ",".join(class_names)
     lines = [header]
     for v in sorted(vectors, key=lambda v: v.chunk_index):

@@ -1,11 +1,12 @@
 """Readers and writers for event streams: AEDAT 2.0 binary and plain text.
 
-AEDAT 2.0 layout: zero or more header lines, each starting with ``#`` and
-ending with a newline, followed by 8-byte records of a 4-byte big-endian
-address word and a 4-byte big-endian unsigned timestamp in ticks. Which
-address bits hold x, y and polarity varies between sensors and recorder
-versions, so the bit layout is explicit configuration (:class:`AedatLayout`)
-with documented defaults for the DVS-128 and DAViS240C conventions.
+AEDAT 2.0 layout: zero or more header lines, each a line of text starting
+with ``#`` (``_read_header`` tells them from records that start with a
+``#`` byte), followed by 8-byte records of a 4-byte big-endian address word
+and a 4-byte big-endian unsigned timestamp in ticks. Which address bits hold
+x, y and polarity varies between sensors and recorder versions, so the bit
+layout is explicit configuration (:class:`AedatLayout`) with documented
+defaults for the DVS-128 and DAViS240C conventions.
 
 The 32-bit tick counter wraps after ~71 minutes; wraps are detected (raw
 timestamp dropping by more than 2^31) and corrected by adding 2^32 ticks per
@@ -28,6 +29,7 @@ Text format: one event per line as ``t x y p`` (whitespace or commas),
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
@@ -37,6 +39,9 @@ from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
 
 _WRAP_STEP = 1 << 32
 _WRAP_JUMP = 1 << 31
+
+# C0 control characters other than tab, newline and CR
+_CONTROL = re.compile(rb"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 # Records AedatReader decodes at a time (512 KiB of input). Larger blocks
 # cost more memory and ran no faster.
@@ -242,21 +247,48 @@ class AedatReader:
 
 
 def _read_header(f: BinaryIO) -> int:
-    """Consume '#'-prefixed header lines, leaving f at the body; return the line count."""
-    lines = 0
+    """Consume the header lines, leaving f at the body; return the line count.
+
+    AEDAT 2.0 does not delimit its header, and a record can start with '#'
+    (a DAVIS240C record with y in 140..143). A header line is therefore a
+    '#' line of UTF-8 text without C0 control characters other than tab and
+    CR. The first '#' line that is not starts the body if the bytes from
+    there are whole records, and is an error otherwise. A last header line
+    shorter than a record is also the start of the body when the body is
+    whole records only with it, as when a record's second byte is a newline.
+    """
     pos = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(pos)
+    lines, last = 0, None
     while f.read(1) == b"#":
-        rest = f.readline()
-        if not rest.endswith(b"\n"):
-            raise FormatError(f"header line {lines + 1}: missing trailing newline")
-        try:
-            (b"#" + rest[:-1]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"header line {lines + 1}: not valid text ({exc})") from None
-        pos += 1 + len(rest)
-        lines += 1
+        line = b"#" + f.readline()
+        problem = _header_line_problem(line)
+        if problem is None:
+            last, pos, lines = pos, pos + len(line), lines + 1
+        elif (end - pos) % 8 == 0:
+            break
+        else:
+            raise FormatError(f"header line {lines + 1}: {problem}")
+    if (end - pos) % 8 and last is not None and pos - last < 8 and (end - last) % 8 == 0:
+        pos, lines = last, lines - 1
     f.seek(pos)
     return lines
+
+
+def _header_line_problem(line: bytes) -> str | None:
+    """Why a '#' line read up to its newline is not a header line, or None."""
+    if not line.endswith(b"\n"):
+        return "missing trailing newline"
+    try:
+        line[:-1].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"not valid text ({exc})"
+    control = _CONTROL.search(line)
+    if control:
+        byte, i = control[0][0], control.start()
+        return f"not valid text (control character {byte:#04x} in position {i})"
+    return None
 
 
 def parse_text(text: str, geometry: SensorGeometry) -> EventStream:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evframes._kernels import BACKEND
+from evframes import BACKEND
 from evframes.chunking import make_chunks
 from evframes.cli import main as cli_main
 from evframes.encoders import (

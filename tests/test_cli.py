@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -528,10 +529,15 @@ class TestExitCodes:
     def test_console_script_installed(self, tmp_path):
         src = tmp_path / "ev.txt"
         src.write_text("0 1 1 1\n")
+        # The child imports the evframes this suite tests, installed or not.
+        package_root = os.path.dirname(os.path.dirname(formats.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "evframes", "info", str(src), "--geometry", "4x4"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "events: 1" in proc.stdout

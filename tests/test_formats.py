@@ -1,5 +1,6 @@
 import io
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -356,6 +357,15 @@ class TestScoreFile:
         with pytest.raises(FormatError, match="class names"):
             parse_scores("# k=3 classes=a,b\n0,1,2,3\n")
 
+    def test_write_rejects_whitespace_in_class_names(self):
+        # Every character str.splitlines breaks at, found over all code points.
+        lines = "".join(map(chr, range(sys.maxunicode + 1))).splitlines(keepends=True)
+        breaks = [line[-1] for line in lines[:-1]]
+        assert "\x1c" in breaks and "\u2028" in breaks
+        for c in [" ", "\t", "\u3000", *breaks]:
+            with pytest.raises(ValueError, match="commas or whitespace"):
+                write_scores([ScoreVector([1.0, 2.0], 0)], class_names=["a", f"b{c}c"])
+
     def test_write_rejects_bad_class_names(self):
         with pytest.raises(ValueError, match="class name"):
             write_scores([ScoreVector([1.0], 0)], class_names=["a,b"])
@@ -370,10 +380,10 @@ score_vectors = st.integers(1, 5).flatmap(
         max_size=8,
     )
 )
-class_names = st.text(
-    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), blacklist_characters=","),
+class_names = st.text(max_size=4) | st.lists(
+    st.sampled_from(["a", "b", ",", " ", "\t", "\r", "\n", "\x1c", "\x85", "\u2028", "\u3000"]),
     max_size=4,
-)
+).map("".join)
 score_fragments = st.sampled_from(
     ["# k=", "# k=2", "classes=", "a,b", ",", "#", "\n", "\r\n", " ", "0", "-3", "1.5", "1e999",
      "nan", "inf", "x", "9" * 5000, "\x1c", "\u2028", "k=0", "k=-1", "k=x"]
@@ -403,7 +413,11 @@ class TestScoreFileFuzz:
                                            max_size=len(rows))))
         names = data.draw(st.none() | st.lists(class_names, min_size=k, max_size=k))
         vectors = [ScoreVector(r, i) for r, i in zip(rows, indices)]
-        text = write_scores(vectors, names)
+        try:
+            text = write_scores(vectors, names)
+        except ValueError:
+            assert names is not None
+            return
         back, back_names = parse_scores(text)
         assert back_names == names
         assert [v.chunk_index for v in back] == indices

@@ -94,6 +94,23 @@ class TestParseAedat2:
         with pytest.raises(FormatError, match="missing trailing newline"):
             parse_aedat2(b"#!AER-DAT2.0", DVS128_LAYOUT, DVS128_GEOMETRY)
 
+    # A DAVIS240C record with y in 140..143 starts with the byte '#'.
+    @pytest.mark.parametrize("x, y, t", [
+        (5, 140, 10),  # the tick ends in a newline byte
+        (5, 141, 0x01020304),  # no newline byte follows
+        (165, 140, 5),  # the second byte is a newline
+    ])
+    def test_record_starting_with_hash_is_not_header(self, x, y, t):
+        data = HEADER + davis_record(x, y, 1, t) + davis_record(6, 10, -1, 0x01020305)
+        stream, stats = parse_aedat2_stats(data, DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
+        assert (stats.header_lines, stats.records) == (1, 2)
+        assert list(stream) == [Event(x, y, t, 1), Event(6, 10, 0x01020305, -1)]
+
+    def test_header_line_with_control_character(self):
+        with pytest.raises(FormatError, match=r"header line 2: not valid text \(control "
+                           r"character 0x1b in position 2\)"):
+            parse_aedat2(HEADER + b"# \x1b[0m\n" + b"\x00" * 7, DVS128_LAYOUT, DVS128_GEOMETRY)
+
     def test_no_header_is_allowed(self):
         stream = parse_aedat2(dvs128_record(3, 4, -1, 7), DVS128_LAYOUT, DVS128_GEOMETRY)
         assert list(stream) == [Event(3, 4, 7, -1)]
@@ -263,3 +280,91 @@ class TestWriteText:
         text = write_text(s)
         assert text == per_line_text(s)
         assert parse_text(text, TEXT_GEOMETRY) == s
+
+
+LAYOUTS = {
+    "dvs128": (DVS128_LAYOUT, DVS128_GEOMETRY),
+    "davis240c": (DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY),
+}
+
+
+@st.composite
+def aedat_files(draw):
+    """(header lines, layout name, records as (x, y, p, ticks, non_dvs)) of a valid file."""
+    header = draw(st.lists(
+        st.text(st.characters(exclude_categories=("Cc", "Cs"), include_characters="\t\r")),
+        max_size=3,
+    ))
+    name = draw(st.sampled_from(sorted(LAYOUTS)))
+    g = LAYOUTS[name][1]
+    n = draw(st.integers(0, 12))
+    ticks = sorted(draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)))
+    records = []
+    for i, t in enumerate(ticks):
+        # A DAVIS240C address starts with the byte '#' when y is 140..143.
+        hash_first = i == 0 and name == "davis240c" and draw(st.booleans())
+        records.append((
+            draw(st.integers(0, g.width - 1)),
+            draw(st.integers(140, 143) if hash_first else st.integers(0, g.height - 1)),
+            draw(st.sampled_from([-1, 1])), t, name == "davis240c" and draw(st.booleans()),
+        ))
+    return header, name, records
+
+
+SWALLOWED = (["!AER-DAT2.0"], "davis240c", [(5, 140, 1, 10, False), (6, 10, 1, 20, False)])
+
+
+def aedat_bytes(header, name, records):
+    record = dvs128_record if name == "dvs128" else davis_record
+    return b"".join(f"#{line}\n".encode() for line in header) + b"".join(
+        record(x, y, p, t, *((non_dvs,) if non_dvs else ())) for x, y, p, t, non_dvs in records
+    )
+
+
+aedat_fragments = st.sampled_from([
+    b"#", b"\n", b"\r\n", b"#!AER-DAT2.0\r\n", b"\x00" * 4, b"\xff", b"\x80",
+    davis_record(5, 140, 1, 10), davis_record(165, 140, 1, 5), dvs128_record(1, 2, 1, 3),
+    dvs128_record(1, 2, 1, 2**32 - 1), b"\x00\x00\x00\x0a",
+])
+arbitrary_aedat = st.one_of(
+    st.binary(max_size=80), st.lists(aedat_fragments, max_size=12).map(b"".join)
+)
+text_fragments = st.sampled_from([
+    "0 0 0 1", "3,1,2,-1", " ", ",", "\n", "\r\n", "#", "-", "0", "1", "9" * 20, " ", "\x1c",
+    "١", "1e3", "0x10", "\t",
+])
+arbitrary_text = st.one_of(st.text(max_size=80), st.lists(text_fragments, max_size=30).map("".join))
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(aedat_files())
+    @example(SWALLOWED)
+    @example((["!AER-DAT2.0"], "davis240c", [(5, 141, 1, 2**24 + 2**16, False)]))
+    @example(([], "davis240c", [(165, 140, 1, 5, False), (6, 10, -1, 20, False)]))
+    def test_header_never_swallows_a_record(self, spec):
+        header, name, records = spec
+        layout, geometry = LAYOUTS[name]
+        stream, stats = parse_aedat2_stats(aedat_bytes(header, name, records), layout, geometry)
+        assert (stats.header_lines, stats.records) == (len(header), len(records))
+        assert list(stream) == [Event(x, y, t, p) for x, y, p, t, non_dvs in records if not non_dvs]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arbitrary_aedat, st.sampled_from(sorted(LAYOUTS)))
+    @example(aedat_bytes(*SWALLOWED), "davis240c")
+    def test_arbitrary_bytes_parse_or_raise_format_error(self, data, name):
+        # Any exception other than FormatError fails the property.
+        try:
+            parse_aedat2_stats(data, *LAYOUTS[name])
+        except FormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arbitrary_text)
+    @example("0 0 0 1\n9223372036854775808 0 0 1\n")
+    @example(aedat_bytes(*SWALLOWED).decode("latin-1"))
+    def test_arbitrary_text_parses_or_raises_format_error(self, text):
+        try:
+            parse_text(text, TEXT_GEOMETRY)
+        except FormatError:
+            pass

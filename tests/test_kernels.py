@@ -1,9 +1,9 @@
-"""The plain-Python loops are the oracles for the vectorized and compiled paths."""
+"""The plain-Python loops in ``tests/oracles.py`` are the oracles for the vectorized paths."""
 
 import numpy as np
 import pytest
 
-from evframes import _kernels
+from evframes import BACKEND
 from evframes.encoders import (
     KIND_EVENT_COUNT,
     KIND_TIMESTAMP,
@@ -15,10 +15,10 @@ from evframes.encoders import (
     timestamp_field,
 )
 from evframes.pipeline import encode_stream
+from evframes.simulator import SimConfig, _simulate_crossings, simulate
 from evframes.stream import EventStream, SensorGeometry
 from evframes.windowing import EventWindow, WindowConfig, segment
-
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba backend disabled")
+from tests.oracles import count_field_loop, last_timestamp_loop, scene_events
 
 
 def random_events(rng, n, width, height):
@@ -46,8 +46,8 @@ def loop_field(window, kind, polarity):
     keep = np.ones(len(window), dtype=bool) if polarity is None else window.p == polarity
     x, y, t = window.x[keep], window.y[keep], window.t[keep]
     if kind == KIND_EVENT_COUNT:
-        return _kernels._count_field_loop(x, y, g.width, g.height).astype(np.float64)
-    last = _kernels._last_timestamp_loop(x, y, t, g.width, g.height)
+        return count_field_loop(x, y, g.width, g.height).astype(np.float64)
+    last = last_timestamp_loop(x, y, t, g.width, g.height)
     field = np.zeros((g.height, g.width))
     active = last >= 0
     if window.t_begin == window.t_end:
@@ -119,12 +119,25 @@ class TestLoopVsNumpy:
 
     def test_simulate_crossings(self):
         rng = np.random.default_rng(2)
+        # In the deep scene, pixel (2, 1) crosses 25 times in its first interval
+        # and 20 in its second, so the refractory gate steps over many ranks.
+        deep = random_scene(np.random.default_rng(20), n_frames=3, height=2, width=3)
+        deep[0][1:, 1, 2] += [5.13, 0.9]
+        everything = scene_events(*deep, 0.2)
+        assert sum(t <= 2000 and (x, y) == (2, 1) for t, x, y, _ in everything) >= 20
         for refractory in (0.0, 120.0, 1500.0):
-            for _ in range(10):
-                log_frames, times = random_scene(rng)
-                a = _kernels._simulate_crossings_loop(log_frames, times, 0.2, refractory)
-                b = _kernels.simulate_crossings_numpy(log_frames, times, 0.2, refractory)
-                assert_same_events(a, b, width=log_frames.shape[2])
+            for log_frames, times in [random_scene(rng) for _ in range(10)] + [deep]:
+                expected = scene_events(log_frames, times, 0.2, refractory)
+                assert generated_events(log_frames, times, 0.2, refractory) == sorted(expected)
+            if refractory:
+                assert len(scene_events(*deep, 0.2, refractory)) <= 2 / 3 * len(everything)
+
+
+def generated_events(log_frames, times, threshold, refractory_us):
+    """The numpy generator's crossings as sorted (t, x, y, p) tuples."""
+    t, pix, p = _simulate_crossings(log_frames, times, threshold, refractory_us)
+    width = log_frames.shape[2]
+    return sorted(zip(t.tolist(), (pix % width).tolist(), (pix // width).tolist(), p.tolist()))
 
 
 def one_window(geometry, events):
@@ -165,80 +178,13 @@ class TestCountFrameShortcut:
             np.testing.assert_array_equal(q, (510 * counts + v_max) // (2 * v_max))
 
 
-@needs_numba
-class TestJitVsNumpy:
-    def test_simulate_crossings(self):
-        rng = np.random.default_rng(5)
-        for refractory in (0.0, 120.0, 1500.0):
-            for _ in range(10):
-                log_frames, times = random_scene(rng)
-                a = _kernels._simulate_jit(log_frames, times, 0.2, refractory)
-                b = _kernels.simulate_crossings_numpy(log_frames, times, 0.2, refractory)
-                assert_same_events(a, b, width=log_frames.shape[2])
+class TestSinglePath:
+    def test_backend_is_numpy(self):
+        assert BACKEND == "numpy"
 
-
-def assert_same_events(a, b, width):
-    """Compare kernel outputs as (t, pixel)-sorted event sets, bit for bit."""
-    ta, xa, ya, pa = a
-    tb, xb, yb, pb = b
-    assert len(ta) == len(tb)
-    ka = np.lexsort((ya.astype(np.int64) * width + xa, ta))
-    kb = np.lexsort((yb.astype(np.int64) * width + xb, tb))
-    np.testing.assert_array_equal(ta[ka], tb[kb])
-    np.testing.assert_array_equal(xa[ka], xb[kb])
-    np.testing.assert_array_equal(ya[ka], yb[kb])
-    np.testing.assert_array_equal(pa[ka], pb[kb])
-
-
-class TestDispatch:
-    def test_backend_name_is_exposed(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
-    def test_dispatched_names_resolve(self):
+    def test_one_pixel_ramp(self):
         # One pixel ramps 0 -> 0.5 log units over 1000 us: crossings at 0.2 and 0.4.
-        log_frames = np.array([[[0.0]], [[0.5]]])
-        times = np.array([0, 1000], dtype=np.int64)
-        t, x, y, p = _kernels.simulate_crossings(log_frames, times, 0.2, 0.0)
-        assert list(t) == [400, 800]
-        assert list(x) == list(y) == [0, 0]
-        assert list(p) == [1, 1]
-
-    def test_env_flag_selects_numpy_backend(self):
-        import os
-        import subprocess
-        import sys
-
-        # The child must import the same evframes this suite is testing,
-        # whether it is installed or found through PYTHONPATH.
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
-
-        def child_backend(env):
-            code = "from evframes._kernels import BACKEND; print(BACKEND)"
-            out = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env=env,
-            )
-            assert out.returncode == 0, out.stderr
-            return out
-
-        # Control run: without the flag, numba is used wherever it imports,
-        # so only the flag can turn the answer into "numpy" there.
-        env.pop("EVFRAMES_NUMBA", None)
-        try:
-            import numba  # noqa: F401
-
-            has_numba = True
-        except ImportError:
-            has_numba = False
-        control = child_backend(env)
-        assert control.stdout.strip() == ("numba" if has_numba else "numpy")
-
-        env["EVFRAMES_NUMBA"] = "0"
-        out = child_backend(env)
-        assert out.stdout.strip() == "numpy"
+        out = simulate(np.exp([[[0.0]], [[0.5]]]), [0, 1000], SimConfig(0.2))
+        assert out.t.tolist() == [400, 800]
+        assert out.x.tolist() == out.y.tolist() == [0, 0]
+        assert out.p.tolist() == [1, 1]

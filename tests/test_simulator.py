@@ -6,34 +6,7 @@ import pytest
 from evframes.ingest import parse_text, write_text
 from evframes.simulator import SimConfig, simulate
 from evframes.stream import validate_stream
-
-
-def scalar_pixel_events(levels, times, threshold, refractory_us=0.0):
-    """Reference generator for one pixel, written as a direct scalar walk.
-
-    levels are log intensities at the given frame times. Returns a list of
-    (rounded_t_us, polarity) in chronological order.
-    """
-    ref = levels[0]
-    last_emit = -math.inf
-    out = []
-    for f in range(len(levels) - 1):
-        l0, l1 = levels[f], levels[f + 1]
-        if l1 == l0:
-            continue
-        direction = 1.0 if l1 > l0 else -1.0
-        n_cross = int(math.floor(direction * (l1 - ref) / threshold))
-        if n_cross <= 0:
-            continue
-        inv_slope = (times[f + 1] - times[f]) / (l1 - l0)
-        for k in range(1, n_cross + 1):
-            level = ref + direction * k * threshold
-            t_cross = times[f] + (level - l0) * inv_slope
-            if refractory_us <= 0 or t_cross - last_emit >= refractory_us:
-                out.append((int(math.floor(t_cross + 0.5)), 1 if direction > 0 else -1))
-                last_emit = t_cross
-        ref += direction * n_cross * threshold
-    return out
+from tests.oracles import scalar_pixel_events
 
 
 def single_pixel_scene(log_levels, times):

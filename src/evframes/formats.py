@@ -14,13 +14,16 @@ same-shaped 8-bit frames plus their window bounds:
                       channel-interleaved
 
 All sizes are implied by the header; a reader rejects files whose length
-does not match exactly. The writer streams: it writes the header with a
-frame_count of 0, then each frame as it arrives, and at the end seeks back
-to patch frame_count, so it holds one frame at a time. Version 1 holds at
-most ``MAX_FRAME_COUNT`` frames. :func:`read_frame_tensor` decodes bytes
-already in memory, and its frames are read-only views of them;
-:class:`FrameTensorReader` reads a file one frame, or one 17-byte frame
-prefix, at a time.
+does not match exactly. :func:`write_frame_tensor_to` streams: it writes
+the header with a frame_count of 0, then each frame as it arrives, and at
+the end seeks back to patch frame_count, so it holds one frame at a time.
+:func:`write_frame_tensor` has every frame in hand, so it packs the real
+count and joins header, prefixes and pixels into one bytes object sized
+once. Both take each frame's prefix and pixels from one generator that
+checks the frames. Version 1 holds at most ``MAX_FRAME_COUNT`` frames.
+:func:`read_frame_tensor` decodes bytes already in memory, and its frames
+are read-only views of them; :class:`FrameTensorReader` reads a file one
+frame, or one 17-byte frame prefix, at a time.
 
 Score tables are one CSV-ish text line per chunk with a '#' header naming K
 (and optionally the class labels). Images are written as binary PGM
@@ -68,12 +71,18 @@ class FrameTensor:
 
 
 def write_frame_tensor(
-    frames: Sequence[EncodedFrame], shape: tuple[int, int, int] | None = None
+    frames: Iterable[EncodedFrame], shape: tuple[int, int, int] | None = None
 ) -> bytes:
-    """Serialize frames to frame-tensor bytes (see :func:`write_frame_tensor_to`)."""
-    buf = io.BytesIO()
-    write_frame_tensor_to(buf, frames, shape)
-    return buf.getvalue()
+    """Serialize frames to frame-tensor bytes in one allocation of the exact size.
+
+    Takes the same arguments, checks them the same way and gives the same
+    bytes as :func:`write_frame_tensor_to`.
+    """
+    frames = list(frames)
+    shape = _tensor_shape(frames[0] if frames else None, shape)
+    # Every frame is checked, in order, before the header is packed.
+    body = [part for record in _frame_records(frames, shape) for part in record]
+    return b"".join([_pack_header(shape, len(frames)), *body])
 
 
 def write_frame_tensor_to(
@@ -89,31 +98,57 @@ def write_frame_tensor_to(
     """
     frames = iter(frames)
     first = next(frames, None)
+    shape = _tensor_shape(first, shape)
     if first is not None:
-        shape = first.pixels.shape
         frames = itertools.chain([first], frames)
-    elif shape is None:
-        raise ValueError("shape is required to write an empty frame tensor")
-    height, width, channels = shape
     start = f.tell()
-    f.write(_HEADER.pack(FRAME_TENSOR_MAGIC, FRAME_TENSOR_VERSION, width, height, channels, 0))
+    f.write(_pack_header(shape, 0))
     count = 0
-    for frame in frames:
-        if count == MAX_FRAME_COUNT:
-            raise ValueError(
-                f"frame tensor format version {FRAME_TENSOR_VERSION} holds at most "
-                f"{MAX_FRAME_COUNT} frames"
-            )
-        if frame.pixels.shape != shape:
-            raise ValueError(f"frame {count}: shape {frame.pixels.shape} does not match {shape}")
-        f.write(_FRAME_PREFIX.pack(frame.window_start, frame.window_end, 1 if frame.empty else 0))
-        f.write(np.ascontiguousarray(frame.pixels, dtype=np.uint8))
-        count += 1
+    for count, (prefix, pixels) in enumerate(_frame_records(frames, shape), start=1):
+        f.write(prefix)
+        f.write(pixels)
     end = f.tell()
     f.seek(start + _COUNT_OFFSET)
     f.write(_COUNT.pack(count))
     f.seek(end)
     return count
+
+
+def _tensor_shape(
+    first: EncodedFrame | None, shape: tuple[int, int, int] | None
+) -> tuple[int, int, int]:
+    """The tensor's (height, width, channels): the first frame's, else the given shape."""
+    if first is not None:
+        shape = first.pixels.shape
+    elif shape is None:
+        raise ValueError("shape is required to write an empty frame tensor")
+    height, width, channels = shape  # any other rank fails here, before a frame is read
+    return height, width, channels
+
+
+def _pack_header(shape: tuple[int, int, int], count: int) -> bytes:
+    height, width, channels = shape
+    return _HEADER.pack(FRAME_TENSOR_MAGIC, FRAME_TENSOR_VERSION, width, height, channels, count)
+
+
+def _frame_records(
+    frames: Iterable[EncodedFrame], shape: tuple[int, int, int]
+) -> Iterator[tuple[bytes, np.ndarray]]:
+    """Each frame's packed prefix and C-contiguous uint8 pixels, checked in frame order.
+
+    Raises ValueError on a frame whose shape differs from shape, or on the
+    frame that would pass ``MAX_FRAME_COUNT``.
+    """
+    for i, frame in enumerate(frames):
+        if i == MAX_FRAME_COUNT:
+            raise ValueError(
+                f"frame tensor format version {FRAME_TENSOR_VERSION} holds at most "
+                f"{MAX_FRAME_COUNT} frames"
+            )
+        if frame.pixels.shape != shape:
+            raise ValueError(f"frame {i}: shape {frame.pixels.shape} does not match {shape}")
+        prefix = _FRAME_PREFIX.pack(frame.window_start, frame.window_end, 1 if frame.empty else 0)
+        yield prefix, np.ascontiguousarray(frame.pixels, dtype=np.uint8)
 
 
 def read_frame_tensor(data: bytes) -> FrameTensor:
@@ -226,10 +261,22 @@ def _unpack_frame(buf: bytes, offset: int, i: int, shape: tuple[int, int, int]) 
 
 
 def write_scores(vectors: Sequence[ScoreVector], class_names: Sequence[str] | None = None) -> str:
-    """Serialize per-chunk score vectors as text (one line per chunk)."""
+    """Serialize per-chunk score vectors as text (one line per chunk).
+
+    Every vector must have the same length K and its own chunk index, as
+    :func:`parse_scores` requires; the offending chunk is named otherwise.
+    """
     if not vectors:
         raise ValueError("no score vectors to write")
-    k = len(vectors[0].scores)
+    ordered = sorted(vectors, key=lambda v: v.chunk_index)
+    k = len(ordered[0].scores)
+    for i, v in enumerate(ordered):
+        if len(v.scores) != k:
+            raise ValueError(
+                f"chunk {v.chunk_index}: score vector has {len(v.scores)} classes, expected {k}"
+            )
+        if i and v.chunk_index == ordered[i - 1].chunk_index:
+            raise ValueError(f"chunk {v.chunk_index}: chunk index appears more than once")
     header = f"# k={k}"
     if class_names is not None:
         if len(class_names) != k:
@@ -240,7 +287,7 @@ def write_scores(vectors: Sequence[ScoreVector], class_names: Sequence[str] | No
                 raise ValueError(f"class name {name!r} may not contain commas or whitespace")
         header += " classes=" + ",".join(class_names)
     lines = [header]
-    for v in sorted(vectors, key=lambda v: v.chunk_index):
+    for v in ordered:
         lines.append(",".join([str(v.chunk_index), *map(repr, v.scores.tolist())]))
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -5,8 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evframes import formats, ingest
+from evframes.chunking import POLICIES
 from evframes.cli import main
 from evframes.encoders import KIND_EVENT_COUNT, POLARITY_MERGED, EncodedFrame
 from evframes.formats import (
@@ -15,10 +20,13 @@ from evframes.formats import (
     write_frame_tensor_to,
     write_pgm,
     write_ppm,
+    write_scores,
 )
 from evframes.ingest import DAVIS240C_LAYOUT, parse_aedat2, parse_text, write_text
+from evframes.scoring import ScoreVector
 from evframes.stream import DAVIS240C_GEOMETRY, SensorGeometry, truncate_by_ratio
 
+from tests.test_formats import make_frames, score_vectors, valid_tensors
 from tests.test_ingest import HEADER, davis_record, dvs128_record
 
 
@@ -541,3 +549,156 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "events: 1" in proc.stdout
+
+
+@st.composite
+def aedat_files(draw):
+    """A header (or none) and a few DVS-128 or DAVIS240C records with rising ticks."""
+    header = draw(st.sampled_from([b"", HEADER, HEADER + b"# a comment\r\n"]))
+    records = []
+    tick = draw(st.integers(0, 2**32 - 1))
+    for _ in range(draw(st.integers(0, 8))):
+        tick = (tick + draw(st.integers(0, 5000))) % 2**32
+        x, y = draw(st.integers(0, 239)), draw(st.integers(0, 179))
+        p = draw(st.sampled_from([-1, 1]))
+        if draw(st.booleans()):
+            records.append(dvs128_record(x % 128, y % 128, p, tick))
+        else:
+            records.append(davis_record(x, y, p, tick, non_dvs=draw(st.booleans())))
+    return header + b"".join(records)
+
+
+@st.composite
+def text_files(draw):
+    """A few `t x y p` lines with rising timestamps."""
+    t, lines = draw(st.integers(0, 2**63 - 1)), []
+    for _ in range(draw(st.integers(0, 8))):
+        t = min(t + draw(st.integers(0, 10**6)), 2**63 - 1)
+        x, y = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        p = draw(st.sampled_from([-1, 0, 1]))
+        lines.append(f"{t} {x} {y} {p}\n")
+    return "".join(lines).encode()
+
+
+@st.composite
+def intensity_files(draw):
+    """A 1-channel frame tensor of 2-4 small frames, as simulate reads."""
+    n, seed = draw(st.integers(2, 4)), draw(st.integers(0, 99))
+    return write_frame_tensor(make_frames(n, shape=(4, 5, 1), seed=seed))
+
+
+score_files = score_vectors.map(
+    lambda rows: write_scores([ScoreVector(r, i) for i, r in enumerate(rows)]).encode()
+)
+
+
+@st.composite
+def mutated(draw, valid):
+    """Valid bytes, or the same with one byte changed, cut short or extended."""
+    data = bytearray(draw(valid))
+    mutation = draw(st.sampled_from(["none", "byte", "cut", "extend"]))
+    if data and mutation == "byte":
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    elif data and mutation == "cut":
+        del data[draw(st.integers(0, len(data) - 1)) :]
+    elif mutation == "extend":
+        data += draw(st.binary(min_size=1, max_size=12))
+    return bytes(data)
+
+
+any_input = st.one_of(
+    st.binary(max_size=64),
+    mutated(aedat_files()),
+    mutated(text_files()),
+    mutated(valid_tensors().map(lambda case: case[1])),
+    mutated(intensity_files()),
+    mutated(score_files),
+)
+event_files = mutated(aedat_files() | text_files())
+# Each command mostly reads inputs shaped for it, and sometimes any other.
+command_inputs = {
+    "encode": event_files,
+    "info": event_files,
+    "truncate": event_files,
+    "chunk": mutated(valid_tensors().map(lambda case: case[1])),
+    "simulate": mutated(intensity_files()),
+    "aggregate": mutated(score_files),
+}
+
+
+def fuzz_argv(command, source, out, variant):
+    """argv for one fuzzed run; variant's bits pick the input format, layout and modes."""
+    text = variant & 1
+    stream = ["--format", "text" if text else "aedat2",
+              "--layout", "davis240c" if variant & 2 else "dvs128"]
+    if command == "encode":
+        # At most a few windows, whatever the timestamps: a text timestamp is
+        # below 2**63 and an AEDAT file this small spans fewer than 2**36 us.
+        window = 2**62 if text else 2**36
+        return [command, source, out, *stream, "--window-us", window,
+                "--kind", "count" if variant & 4 else "timestamp",
+                "--polarity", "ignore" if variant & 8 else "merged"]
+    if command == "info":
+        return [command, source, *stream]
+    if command == "truncate":
+        return [command, source, out, *stream, "--ratio", 0.5 if variant & 4 else 1]
+    if command == "chunk":
+        return [command, source, "--policy", POLICIES[variant % len(POLICIES)], "-o", out]
+    if command == "aggregate":
+        return [command, source, "-o", out]
+    return [command, source, out, "--refractory-us", 500 if variant & 4 else 0]
+
+
+def fuzz_main(workdir, command, data, variant, bad_flag):
+    """Run main() on data; exit code 0, or 1 with one stderr line, or 2 from argparse."""
+    source, out = workdir / "input", workdir / "output"
+    source.write_bytes(data)
+    argv = [str(a) for a in fuzz_argv(command, source, out, variant)]
+    if bad_flag:
+        argv.append("--no-such-flag")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert bad_flag  # only argparse exits, and only on the bad flag
+            assert exc.code == 2
+            return
+    assert not bad_flag
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("evframes: ") and lines[0].endswith("\n")
+
+
+def cli_fuzz_test(command):
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    @given(data=command_inputs[command] | any_input, variant=st.integers(0, 15),
+           bad_flag=st.sampled_from([False, False, False, True]))
+    @example(data=b"", variant=0, bad_flag=False)
+    @example(data=HEADER, variant=2, bad_flag=False)
+    @example(data=HEADER + davis_record(5, 140, 1, 10), variant=2, bad_flag=False)
+    @example(data=HEADER + davis_record(160, 140, 1, 10), variant=2, bad_flag=False)
+    @example(data=write_frame_tensor(make_frames(3, shape=(2, 3, 1)))[:-1], variant=0,
+             bad_flag=False)
+    def test(self, tmp_path_factory, data, variant, bad_flag):
+        fuzz_main(tmp_path_factory.mktemp(command), command, data, variant, bad_flag)
+
+    return test
+
+
+class TestCliFuzz:
+    """Arbitrary and mutated input files end in exit code 0, or 1 with one stderr line.
+
+    Seeded with an empty file, a header-only AEDAT file, bodies whose first
+    byte is '#' and a truncated tensor.
+    """
+
+    test_encode = cli_fuzz_test("encode")
+    test_chunk = cli_fuzz_test("chunk")
+    test_aggregate = cli_fuzz_test("aggregate")
+    test_info = cli_fuzz_test("info")
+    test_truncate = cli_fuzz_test("truncate")
+    test_simulate = cli_fuzz_test("simulate")

@@ -253,6 +253,60 @@ class TestFrameCountLimit:
         assert formats.MAX_FRAME_COUNT == 2**32 - 1
 
 
+def packed_by_hand(frames, shape):
+    """The frame-tensor layout written out field by field, as the module docstring gives it."""
+    height, width, channels = shape
+    data = struct.pack("<4sBIIII", b"EVFR", 1, width, height, channels, len(frames))
+    for f in frames:
+        data += struct.pack("<qqB", f.window_start, f.window_end, f.empty) + f.pixels.tobytes()
+    return data
+
+
+def reversed_columns(n):
+    return [EncodedFrame(f.pixels[:, ::-1], None, None, f.window_start, f.window_end, f.empty)
+            for f in make_frames(n)]
+
+
+class TestWriterEquivalence:
+    """The in-memory and the streaming writer give the same bytes for the same input."""
+
+    CASES = {
+        "generator": (lambda: (f for f in make_frames(4)), None),
+        "read_only_views": (lambda: read_frame_tensor(write_frame_tensor(make_frames(3))).frames,
+                            None),
+        "non_contiguous": (lambda: reversed_columns(3), None),
+        "zero_size_frames": (lambda: make_frames(3, shape=(0, 3, 1)), None),
+        "empty_with_shape": (lambda: [], (3, 4, 3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_both_writers_give_the_layout_bytes(self, case):
+        frames_of, shape = self.CASES[case]
+        frames = list(frames_of())
+        expected = packed_by_hand(frames, frames[0].pixels.shape if frames else shape)
+        assert write_frame_tensor(frames_of(), shape) == expected
+        f = io.BytesIO()
+        assert write_frame_tensor_to(f, frames_of(), shape) == len(frames)
+        assert f.getvalue() == expected
+
+    def test_both_writers_name_the_limit(self, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_FRAME_COUNT", 2)
+        message = r"^frame tensor format version 1 holds at most 2 frames$"
+        with pytest.raises(ValueError, match=message):
+            write_frame_tensor(make_frames(3))
+        with pytest.raises(ValueError, match=message):
+            write_frame_tensor_to(io.BytesIO(), make_frames(3))
+
+    def test_both_writers_check_shapes_in_frame_order(self, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_FRAME_COUNT", 2)
+        frames = make_frames(1) + make_frames(2, shape=(4, 3, 3))
+        message = r"^frame 1: shape \(4, 3, 3\) does not match \(3, 4, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            write_frame_tensor(frames)
+        with pytest.raises(ValueError, match=message):
+            write_frame_tensor_to(io.BytesIO(), frames)
+
+
 @st.composite
 def valid_tensors(draw):
     """(frames, frame-tensor bytes) with 0-4 frames of up to 3x3x3 pixels."""
@@ -366,6 +420,16 @@ class TestScoreFile:
             with pytest.raises(ValueError, match="commas or whitespace"):
                 write_scores([ScoreVector([1.0, 2.0], 0)], class_names=["a", f"b{c}c"])
 
+    def test_write_rejects_mixed_vector_lengths(self):
+        vectors = [ScoreVector([1.0, 2.0], 0), ScoreVector([1.0], 1)]
+        with pytest.raises(ValueError, match=r"^chunk 1: score vector has 1 classes, expected 2$"):
+            write_scores(vectors)
+
+    def test_write_rejects_repeated_chunk_index(self):
+        vectors = [ScoreVector([1.0], 3), ScoreVector([2.0], 2), ScoreVector([1.0], 3)]
+        with pytest.raises(ValueError, match=r"^chunk 3: chunk index appears more than once$"):
+            write_scores(vectors)
+
     def test_write_rejects_bad_class_names(self):
         with pytest.raises(ValueError, match="class name"):
             write_scores([ScoreVector([1.0], 0)], class_names=["a,b"])
@@ -373,6 +437,7 @@ class TestScoreFile:
             write_scores([ScoreVector([1.0, 2.0], 0)], class_names=["a"])
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
 score_vectors = st.integers(1, 5).flatmap(
     lambda k: st.lists(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
@@ -423,6 +488,25 @@ class TestScoreFileFuzz:
         assert [v.chunk_index for v in back] == indices
         assert [v.scores.tobytes() for v in back] == [v.scores.tobytes() for v in vectors]
         assert write_scores(back, back_names) == text
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.lists(finite, min_size=1, max_size=3)),
+                    min_size=1, max_size=6))
+    @example([(0, [1.0, 2.0]), (1, [1.0])])
+    @example([(3, [1.0]), (2, [2.0]), (3, [1.0])])
+    def test_mixed_vectors_are_rejected_or_read_back(self, rows):
+        # Vector lengths may differ and chunk indices may repeat.
+        vectors = [ScoreVector(scores, i) for i, scores in rows]
+        try:
+            text = write_scores(vectors)
+        except ValueError as exc:
+            assert str(exc).startswith("chunk ")
+            return
+        back, names = parse_scores(text)
+        assert names is None
+        ordered = sorted(vectors, key=lambda v: v.chunk_index)
+        assert [v.chunk_index for v in back] == [v.chunk_index for v in ordered]
+        assert [v.scores.tobytes() for v in back] == [v.scores.tobytes() for v in ordered]
 
 
 class TestPortableImages:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .chunking import POLICIES, POLICY_KEEP, select_chunks
 from .encoders import (
+    _CHANNELS,
     KIND_EVENT_COUNT,
     KIND_TIMESTAMP,
     POLARITY_IGNORE,
@@ -162,12 +163,12 @@ def _add_stream_input(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_encode(args) -> int:
-    channels = 3 if args.polarity == POLARITY_MERGED else 1
     output = Path(args.output)
     with _open_blocks(args) as (geometry, blocks, _), _replace_on_success(output) as f:
         windows = segment_blocks(blocks, WindowConfig(args.window_us))
         frames = (encode_window(w, _KINDS[args.kind], args.polarity) for w in windows)
-        write_frame_tensor_to(f, frames, (geometry.height, geometry.width, channels))
+        shape = (geometry.height, geometry.width, _CHANNELS[args.polarity])
+        write_frame_tensor_to(f, frames, shape)
     if args.emit_images is not None:
         os.makedirs(args.emit_images, exist_ok=True)
         with open(output, "rb") as f:

@@ -23,7 +23,10 @@ once. Both take each frame's prefix and pixels from one generator that
 checks the frames. Version 1 holds at most ``MAX_FRAME_COUNT`` frames.
 :func:`read_frame_tensor` decodes bytes already in memory, and its frames
 are read-only views of them; :class:`FrameTensorReader` reads a file one
-frame, or one 17-byte frame prefix, at a time.
+frame at a time. Both decode frames through one function, which checks
+every empty flag. ``FrameTensorReader.prefixes()`` reads only each frame's
+17-byte prefix, decoded by the same function as a frame without pixels,
+and seeks past the pixels.
 
 Score tables are one CSV-ish text line per chunk with a '#' header naming K
 (and optionally the class labels). Images are written as binary PGM
@@ -157,22 +160,8 @@ def read_frame_tensor(data: bytes) -> FrameTensor:
     The frames' pixels are read-only views of data.
     """
     width, height, channels, frame_count = _unpack_header(data, len(data))
-    size = _FRAME_PREFIX.size + height * width * channels
-    body = np.frombuffer(data, np.uint8, count=frame_count * size, offset=_HEADER.size)
-    body = body.reshape(frame_count, size)
-    body.setflags(write=False)
-    prefixes = body[:, : _FRAME_PREFIX.size].view(_PREFIX_RECORD)[:, 0]
-    pixels = body[:, _FRAME_PREFIX.size :].reshape(frame_count, height, width, channels)
-    flags = prefixes["empty"]
-    bad = np.flatnonzero(flags > 1)
-    if bad.size:
-        raise _bad_flag(int(bad[0]), int(flags[bad[0]]))
-    frames = [
-        EncodedFrame(p, None, None, start, end, empty)
-        for p, start, end, empty in zip(
-            pixels, prefixes["start"].tolist(), prefixes["end"].tolist(), (flags == 1).tolist()
-        )
-    ]
+    body = memoryview(data)[_HEADER.size :]
+    frames = _decode_frames(body, frame_count, (height, width, channels))
     return FrameTensor(width, height, channels, frames)
 
 
@@ -199,13 +188,16 @@ class FrameTensorReader:
         shape = (self.height, self.width, self.channels)
         self._f.seek(self._body)
         for i in range(self.frame_count):
-            yield _unpack_frame(self._read(_FRAME_PREFIX.size + self._frame_bytes, i), 0, i, shape)
+            buf = self._read(_FRAME_PREFIX.size + self._frame_bytes, i)
+            yield from _decode_frames(buf, 1, shape, i)
 
     def prefixes(self) -> Iterator[tuple[int, int, bool]]:
         """Yield each frame's (window_start, window_end, empty), skipping its pixels."""
         self._f.seek(self._body)
         for i in range(self.frame_count):
-            yield _unpack_prefix(self._read(_FRAME_PREFIX.size, i), 0, i)
+            # A prefix alone decodes as a frame without pixels.
+            (frame,) = _decode_frames(self._read(_FRAME_PREFIX.size, i), 1, (0, 0, 0), i)
+            yield frame.window_start, frame.window_end, frame.empty
             self._f.seek(self._frame_bytes, io.SEEK_CUR)
 
     def _read(self, n: int, i: int) -> bytes:
@@ -233,26 +225,26 @@ def _unpack_header(header: bytes, size: int) -> tuple[int, int, int, int]:
     return width, height, channels, frame_count
 
 
-def _unpack_prefix(buf: bytes, offset: int, i: int) -> tuple[int, int, bool]:
-    """Frame i's (window_start, window_end, empty) from the prefix at offset."""
-    start, end, flag = _FRAME_PREFIX.unpack_from(buf, offset)
-    if flag not in (0, 1):
-        raise _bad_flag(i, flag)
-    return start, end, bool(flag)
+def _decode_frames(
+    buf, count: int, shape: tuple[int, int, int], first: int = 0
+) -> list[EncodedFrame]:
+    """The count packed frames in the bytes-like buf, numbered from first.
 
-
-def _bad_flag(i: int, flag: int) -> FormatError:
-    return FormatError(f"frame {i}: empty flag must be 0 or 1, got {flag}")
-
-
-def _unpack_frame(buf: bytes, offset: int, i: int, shape: tuple[int, int, int]) -> EncodedFrame:
-    """Frame i, whose prefix starts at offset; its pixels are a read-only view of buf."""
-    start, end, empty = _unpack_prefix(buf, offset, i)
-    pixels = np.frombuffer(
-        buf, np.uint8, count=shape[0] * shape[1] * shape[2], offset=offset + _FRAME_PREFIX.size
-    ).reshape(shape)
-    pixels.setflags(write=False)
-    return EncodedFrame(pixels, None, None, start, end, empty)
+    Every empty flag is checked and the first bad one is named. The frames'
+    pixels are read-only views of buf.
+    """
+    if not count:  # no frames, so no frame shape to build, however large
+        return []
+    rows = np.frombuffer(buf, np.uint8).reshape(count, -1)
+    rows.setflags(write=False)
+    prefixes = rows[:, : _FRAME_PREFIX.size].view(_PREFIX_RECORD)[:, 0].tolist()
+    pixels = rows[:, _FRAME_PREFIX.size :].reshape(count, *shape)
+    frames = []
+    for i, ((start, end, flag), p) in enumerate(zip(prefixes, pixels), start=first):
+        if flag > 1:
+            raise FormatError(f"frame {i}: empty flag must be 0 or 1, got {flag}")
+        frames.append(EncodedFrame(p, None, None, start, end, flag == 1))
+    return frames
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Scores are accepted raw (logits or probabilities; no softmax is applied) and
 averaged class-wise over chunks. Summation runs in chunk-index order so the
-floating-point result is bit-reproducible regardless of input order. The
+floating-point result is bit-reproducible regardless of input order. A class
+whose sum overflows float64 has its mean taken over scores scaled down by
+their largest magnitude instead, so every mean is finite. The
 predicted label is the argmax with lowest-index tie-break.
 """
 
@@ -59,9 +61,17 @@ def temporal_average_pool(
     if class_names is not None and len(class_names) != k:
         raise ValueError(f"got {len(class_names)} class names for {k} classes")
     total = np.zeros(k, dtype=np.float64)
-    for v in ordered:
-        total += v.scores
+    with np.errstate(over="ignore"):
+        for v in ordered:
+            total += v.scores
     mean = total / len(ordered)
+    over = ~np.isfinite(mean)  # the scores are finite, so only the sum overflowed
+    if over.any():
+        # Scaled by each class's largest magnitude, the scores sum to at
+        # most n in magnitude, so neither the sum nor the mean overflows.
+        scores = np.array([v.scores[over] for v in ordered])
+        scale = np.abs(scores).max(axis=0)
+        mean[over] = (scores / scale).sum(axis=0) / len(ordered) * scale
     label = int(np.argmax(mean))  # argmax takes the lowest index on ties
     name = class_names[label] if class_names is not None else None
     return VideoPrediction(mean, label, name)

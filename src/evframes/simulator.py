@@ -25,6 +25,9 @@ import numpy as np
 
 from .stream import EventStream, SensorGeometry
 
+# Crossing times are float64, which holds every integer microsecond up to 2**53.
+_MAX_TIME_US = 2**53
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -50,7 +53,8 @@ def simulate(intensities, timestamps_us, config: SimConfig = SimConfig()) -> Eve
 
     intensities is an (N, H, W) array of strictly positive linear
     intensities; timestamps_us gives the N frame times in microseconds,
-    strictly increasing. At least two frames are required.
+    strictly increasing and within 0..2**53. At least two frames are
+    required.
     """
     frames = np.asarray(intensities, dtype=np.float64)
     times = np.asarray(timestamps_us, dtype=np.int64)
@@ -61,6 +65,9 @@ def simulate(intensities, timestamps_us, config: SimConfig = SimConfig()) -> Eve
         raise ValueError("need at least two frames to interpolate between")
     if times.shape != (n_frames,):
         raise ValueError(f"expected {n_frames} timestamps, got {times.shape}")
+    # Checked first, so that the differences below cannot wrap.
+    if times.min() < 0 or times.max() > _MAX_TIME_US:
+        raise ValueError(f"frame timestamps must lie in 0..{_MAX_TIME_US} us")
     if np.any(np.diff(times) <= 0):
         raise ValueError("frame timestamps must be strictly increasing")
     if np.any(frames <= 0):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -104,6 +105,14 @@ class TestEncode:
         tensor = read_frame_tensor(out.read_bytes())
         assert tensor.frames == []
         assert (tensor.width, tensor.height) == (8, 4)
+
+    @pytest.mark.parametrize("polarity,channels", [("merged", 3), ("ignore", 1)])
+    def test_empty_input_tensor_has_the_polarity_modes_channels(self, tmp_path, polarity, channels):
+        src = tmp_path / "ev.txt"
+        src.write_text("")
+        out = tmp_path / "frames.evfr"
+        assert run("encode", src, out, "--geometry", "8x4", "--polarity", polarity) == 0
+        assert out.read_bytes() == struct.pack("<4sBIIII", b"EVFR", 1, 8, 4, channels, 0)
 
     def test_polarity_ignore_writes_one_channel(self, tmp_path):
         src = tmp_path / "ev.txt"
@@ -310,6 +319,14 @@ class TestAggregate:
         assert run("aggregate", scores) == 0
         assert "label_name: walk" in capsys.readouterr().out
 
+    def test_overflowing_sums_give_finite_means(self, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("# k=2\n0,1.5e308,1.7e308\n1,1.5e308,1.7e308\n")
+        assert run("aggregate", scores) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "mean_scores: 1.5e+308 1.7e+308\nlabel: 1\n"
+        assert captured.err == ""
+
     def test_bad_score_file_is_data_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.txt"
         scores.write_text("0,0.9,0.1\n")
@@ -345,6 +362,20 @@ class TestSimulate:
             assert run("simulate", tensor, name, "--threshold", "0.3") == 0
         assert out_a.read_text() == out_b.read_text()
         assert out_a.read_text() != ""
+
+    def test_frame_times_near_int64_max_are_data_error(self, tmp_path, capsys):
+        tensor = tmp_path / "in.evfr"
+        frames = [
+            EncodedFrame(np.full((2, 2, 1), v, dtype=np.uint8), None, None, start, start + 1, False)
+            for v, start in [(0, 2**63 - 1001), (200, 2**63 - 2)]
+        ]
+        tensor.write_bytes(write_frame_tensor(frames))
+        out = tmp_path / "out.txt"
+        assert run("simulate", tensor, out) == 1
+        assert capsys.readouterr().err == (
+            "evframes: frame timestamps must lie in 0..9007199254740992 us\n"
+        )
+        assert not out.exists()
 
     def test_multichannel_input_is_data_error(self, tmp_path, capsys):
         tensor = tmp_path / "in.evfr"

@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 import sys
 
@@ -239,6 +240,23 @@ class TestFrameTensorReader:
             with pytest.raises(FormatError, match=f"^{message}$"):
                 next(iteration)
 
+    @pytest.mark.parametrize(
+        "cut,frames_names,prefixes_names",
+        [(21 + 2 * 53 + 5, 2, 2), (21 + 2 * 53 + 17 + 5, 2, 3)],
+        ids=["in-prefix", "in-pixels"],
+    )
+    def test_file_cut_after_the_length_check(self, tmp_path, cut, frames_names, prefixes_names):
+        path = tmp_path / "frames.evfr"
+        path.write_bytes(write_frame_tensor(make_frames(4)))
+        with open(path, "rb") as f:
+            reader = FrameTensorReader(f)
+            os.truncate(path, cut)
+            for iteration, i in ((reader.frames(), frames_names),
+                                 (reader.prefixes(), prefixes_names)):
+                with pytest.raises(FormatError, match=f"^frame {i}: file ended while reading$"):
+                    list(iteration)
+
+
 
 class TestFrameCountLimit:
     def test_writer_names_the_limit_before_exceeding_it(self, monkeypatch):
@@ -342,6 +360,8 @@ def tensor_files(draw):
 class TestFrameTensorFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(tensor_files())
+    # No frames, each of whose 2**32-1 cubed pixels no array could shape.
+    @example(struct.pack("<4sBIIII", b"EVFR", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1, 0))
     def test_readers_return_alike_or_raise_the_same_format_error(self, data):
         # Any exception other than FormatError fails the property.
         assert_readings_agree(data)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,23 @@ class TestTemporalAveragePool:
         result = temporal_average_pool([ScoreVector(raw[i], i) for i in range(9)])
         assert np.all(result.mean_scores >= raw.min(axis=0))
         assert np.all(result.mean_scores <= raw.max(axis=0))
+
+    def test_overflowing_sums_give_finite_means(self):
+        vectors = [ScoreVector([1.5e308, 1.7e308], i) for i in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = temporal_average_pool(vectors)
+        assert result.mean_scores.tolist() == [1.5e308, 1.7e308]
+        assert result.label == 1
+
+    def test_only_overflowing_classes_are_recomputed(self):
+        rows = [[1e308, 0.1, -1e308], [1e308, 0.2, -1e308], [1e308, 0.3, -1e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = temporal_average_pool([ScoreVector(r, i) for i, r in enumerate(rows)])
+        assert result.mean_scores[1] == (0.1 + 0.2 + 0.3) / 3  # the chunk-ordered sum
+        np.testing.assert_allclose(result.mean_scores[[0, 2]], [1e308, -1e308], rtol=1e-15)
+        assert result.label == 0
 
     def test_class_names(self):
         result = temporal_average_pool(

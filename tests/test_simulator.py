@@ -174,6 +174,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate(np.ones((3, 2, 2)), [0, 1000, 1000])
 
+    @pytest.mark.parametrize(
+        "times",
+        [[2**63 - 1001, 2**63 - 1], [2**62, 2**62 + 1000], [2**53, 2**53 + 1], [-1000, 0]],
+        ids=["near-int64-max", "2^62", "past-2^53", "negative"],
+    )
+    def test_rejects_times_float64_cannot_hold_exactly(self, times):
+        frames = np.array([np.full((2, 2), 1.0), np.full((2, 2), 50.0)])
+        with pytest.raises(ValueError, match=r"^frame timestamps must lie in 0\.\.9007199254740992 us$"):
+            simulate(frames, times)
+
+    def test_times_at_the_ends_of_the_range_are_simulated(self):
+        frames = np.array([np.full((2, 2), 1.0), np.full((2, 2), 50.0)])
+        for times in ([0, 1000], [2**53 - 1000, 2**53]):
+            out = simulate(frames, times)
+            assert len(out) == 4 * math.floor(math.log(50.0) / 0.2)
+            assert times[0] <= out.t.min() and out.t.max() <= times[1]
+
     def test_rejects_timestamp_count_mismatch(self):
         with pytest.raises(ValueError, match="timestamps"):
             simulate(np.ones((3, 2, 2)), [0, 1000])

@@ -48,6 +48,7 @@ from .ingest import (
     AedatReader,
     FormatError,
     ParseStats,
+    TextReader,
     parse_aedat2,
     parse_aedat2_stats,
     parse_text,
@@ -103,6 +104,7 @@ __all__ = [
     "ScoreVector",
     "SensorGeometry",
     "SimConfig",
+    "TextReader",
     "VideoPrediction",
     "Violation",
     "WindowConfig",

@@ -12,7 +12,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -26,16 +26,10 @@ from .encoders import (
     encode_window,
 )
 from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pgm, write_ppm
-from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, parse_text, write_text
+from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, TextReader, write_text
 from .scoring import temporal_average_pool
 from .simulator import SimConfig, simulate
-from .stream import (
-    DAVIS240C_GEOMETRY,
-    DVS128_GEOMETRY,
-    EventStream,
-    SensorGeometry,
-    truncate_block,
-)
+from .stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_block
 from .windowing import DEFAULT_WINDOW_US, WindowConfig, segment_blocks
 
 _LAYOUTS = {
@@ -92,26 +86,19 @@ def _ratio(text: str) -> float:
 
 
 @contextmanager
-def _open_blocks(
-    args,
-) -> Iterator[tuple[SensorGeometry, Iterable[EventStream], AedatReader | None]]:
-    """The input stream as (geometry, blocks, reader).
-
-    AEDAT input is read block by block through reader, which also holds
-    the parse statistics; text input is parsed whole into one block and
-    reader is None. Either way the blocks can be iterated more than once.
-    """
+def _open_blocks(args) -> Iterator[AedatReader | TextReader]:
+    """The input's reader: its geometry, and its blocks from the start on each iteration."""
     fmt = args.format
     if fmt == "auto":
         fmt = "aedat2" if args.input.endswith(".aedat") else "text"
     layout, native_geometry = _LAYOUTS[args.layout]
     geometry = args.geometry if args.geometry is not None else native_geometry
     if fmt == "text":
-        yield geometry, [parse_text(Path(args.input).read_text(), geometry)], None
-        return
-    with open(args.input, "rb") as f:
-        reader = AedatReader(f, layout, geometry)
-        yield geometry, reader, reader
+        with open(args.input, newline="") as f:
+            yield TextReader(f, geometry)
+    else:
+        with open(args.input, "rb") as f:
+            yield AedatReader(f, layout, geometry)
 
 
 @contextmanager
@@ -164,10 +151,10 @@ def _add_stream_input(parser: argparse.ArgumentParser) -> None:
 
 def cmd_encode(args) -> int:
     output = Path(args.output)
-    with _open_blocks(args) as (geometry, blocks, _), _replace_on_success(output) as f:
-        windows = segment_blocks(blocks, WindowConfig(args.window_us))
+    with _open_blocks(args) as reader, _replace_on_success(output) as f:
+        windows = segment_blocks(reader, WindowConfig(args.window_us))
         frames = (encode_window(w, _KINDS[args.kind], args.polarity) for w in windows)
-        shape = (geometry.height, geometry.width, _CHANNELS[args.polarity])
+        shape = (reader.geometry.height, reader.geometry.width, _CHANNELS[args.polarity])
         write_frame_tensor_to(f, frames, shape)
     if args.emit_images is not None:
         os.makedirs(args.emit_images, exist_ok=True)
@@ -226,15 +213,15 @@ def cmd_truncate(args) -> int:
     # Two passes over the blocks: the cutoff needs the last timestamp, and
     # the first pass also finds every parse error before the output is opened.
     t_first = t_last = None
-    with _open_blocks(args) as (_, blocks, _):
-        for block in blocks:
+    with _open_blocks(args) as reader:
+        for block in reader:
             if len(block):
                 t_first = block.t_first if t_first is None else t_first
                 t_last = block.t_last
         if t_first is None:
             raise ValueError("cannot truncate empty stream")
         with _replace_on_success(Path(args.output)) as f:
-            for block in blocks:
+            for block in reader:
                 head = truncate_block(block, args.ratio, t_first, t_last)
                 f.write(write_text(head).encode("ascii"))
                 if len(head) < len(block):
@@ -245,8 +232,8 @@ def cmd_truncate(args) -> int:
 def cmd_info(args) -> int:
     events = positive = negative = 0
     t_first = t_last = None
-    with _open_blocks(args) as (geometry, blocks, reader):
-        for block in blocks:
+    with _open_blocks(args) as reader:
+        for block in reader:
             if len(block) == 0:
                 continue
             if t_first is None:
@@ -255,14 +242,15 @@ def cmd_info(args) -> int:
             events += len(block)
             positive += int(np.count_nonzero(block.p == 1))
             negative += int(np.count_nonzero(block.p == -1))
-    lines = [f"geometry: {geometry.width}x{geometry.height}", f"events: {events}"]
+    g = reader.geometry
+    lines = [f"geometry: {g.width}x{g.height}", f"events: {events}"]
     if events:
         lines.append(f"t_first: {t_first}")
         lines.append(f"t_last: {t_last}")
     lines.append(f"duration_us: {t_last - t_first if events > 1 else 0}")
     lines.append(f"positive: {positive}")
     lines.append(f"negative: {negative}")
-    if reader is not None:
+    if isinstance(reader, AedatReader):
         stats = reader.stats
         lines.append(f"header_lines: {stats.header_lines}")
         lines.append(f"records: {stats.records}")

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -222,6 +223,9 @@ def _unpack_header(header: bytes, size: int) -> tuple[int, int, int, int]:
             f"file length {size} does not match header "
             f"({frame_count} frames of {height}x{width}x{channels} need {expected} bytes)"
         )
+    # Zero-size frames pass the length check whatever their other dimensions.
+    if math.prod(d for d in (frame_count, height, width, channels) if d) > np.iinfo(np.intp).max:
+        raise FormatError(f"{frame_count} frames of {height}x{width}x{channels} are too large")
     return width, height, channels, frame_count
 
 
@@ -233,7 +237,7 @@ def _decode_frames(
     Every empty flag is checked and the first bad one is named. The frames'
     pixels are read-only views of buf.
     """
-    if not count:  # no frames, so no frame shape to build, however large
+    if not count:  # no rows, whose length reshape(0, -1) could not infer
         return []
     rows = np.frombuffer(buf, np.uint8).reshape(count, -1)
     rows.setflags(write=False)

@@ -24,6 +24,9 @@ same reader and joins the blocks.
 
 Text format: one event per line as ``t x y p`` (whitespace or commas),
 ``#`` comment lines skipped, polarity accepted as 1/-1/0 with 0 read as -1.
+Text is read in blocks of ``_BLOCK_RECORDS`` events by :class:`TextReader`,
+in bounded memory; the previous timestamp and the line number carry across
+blocks. :func:`parse_text` reads a string through the same reader.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
@@ -43,8 +46,8 @@ _WRAP_JUMP = 1 << 31
 # C0 control characters other than tab, newline and CR
 _CONTROL = re.compile(rb"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
-# Records AedatReader decodes at a time (512 KiB of input). Larger blocks
-# cost more memory and ran no faster.
+# Records AedatReader decodes at a time (512 KiB of input), and events
+# TextReader parses at a time. Larger blocks cost more memory and ran no faster.
 _BLOCK_RECORDS = 1 << 16
 
 
@@ -61,7 +64,7 @@ class AedatLayout:
     value that maps to p=+1; hardware conventions disagree, so it is data.
     ``type_bit``, when set, marks non-DVS records (IMU, special events):
     records with that bit set are skipped and counted, not parsed.
-    ``timestamp_unit`` is microseconds per tick.
+    Timestamps are in ticks of one microsecond, as AEDAT 2.0 records them.
     """
 
     x_shift: int
@@ -70,14 +73,11 @@ class AedatLayout:
     y_mask: int
     polarity_shift: int
     polarity_on_value: int
-    timestamp_unit: int = 1
     type_bit: int | None = None
 
     def __post_init__(self):
         if self.polarity_on_value not in (0, 1):
             raise ValueError("polarity_on_value must be 0 or 1")
-        if self.timestamp_unit < 1:
-            raise ValueError("timestamp_unit must be a positive integer")
         fields = [
             ("x", self.x_mask << self.x_shift),
             ("y", self.y_mask << self.y_shift),
@@ -239,9 +239,8 @@ class AedatReader:
                 continue
             negative = ((addr >> layout.polarity_shift) & 1) != layout.polarity_on_value
             p = 1 - 2 * negative.view(np.int8)
-            t = ticks if layout.timestamp_unit == 1 else ticks * layout.timestamp_unit
-            self.events += len(t)
-            yield EventStream(g, x.astype(np.int32), y.astype(np.int32), t, p)
+            self.events += len(ticks)
+            yield EventStream(g, x.astype(np.int32), y.astype(np.int32), ticks, p)
         if bad_coordinate is not None:
             raise FormatError(bad_coordinate)
 
@@ -292,47 +291,67 @@ def _header_line_problem(line: bytes) -> str | None:
 
 
 def parse_text(text: str, geometry: SensorGeometry) -> EventStream:
-    """Parse the ``t x y p`` text format into an EventStream.
+    """Parse the ``t x y p`` text format into an EventStream (see :class:`TextReader`)."""
+    return EventStream.concat(geometry, list(TextReader(io.StringIO(text, newline=""), geometry)))
 
-    Fields may be separated by whitespace or commas; ``#`` lines are
-    comments; polarity 0 is read as -1. Raises FormatError with a 1-based
-    line number for malformed lines, out-of-bounds coordinates, timestamps
+
+class TextReader:
+    """Parse a ``t x y p`` text file block by block (see module docstring).
+
+    ``f`` is a seekable text file object opened with ``newline=""``. Each
+    iteration reads it from the start and yields one EventStream per
+    ``_BLOCK_RECORDS`` events. Raises FormatError with a 1-based line
+    number for malformed lines, out-of-bounds coordinates, timestamps
     outside [0, 2**63 - 1], or timestamps that move backward.
     """
-    ts, xs, ys, ps = [], [], [], []
-    prev_t = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.replace(",", " ").split()
-        if len(parts) != 4:
-            raise FormatError(f"line {lineno}: expected 4 fields 't x y p', got {len(parts)}")
-        try:
-            t, x, y, p = (int(v) for v in parts)
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer field in {stripped!r}") from None
-        if p == 0:
-            p = -1
-        if p not in (1, -1):
-            raise FormatError(f"line {lineno}: polarity must be 1, -1 or 0, got {p}")
-        if t < 0:
-            raise FormatError(f"line {lineno}: negative timestamp {t}")
-        if t > MAX_TIMESTAMP_US:
-            raise FormatError(f"line {lineno}: timestamp {t} beyond the int64 range")
-        if not (0 <= x < geometry.width and 0 <= y < geometry.height):
-            raise FormatError(
-                f"line {lineno}: coordinate ({x}, {y}) outside "
-                f"{geometry.width}x{geometry.height} geometry"
-            )
-        if prev_t is not None and t < prev_t:
-            raise FormatError(f"line {lineno}: timestamp moves backward ({t} after {prev_t})")
-        prev_t = t
-        ts.append(t)
-        xs.append(x)
-        ys.append(y)
-        ps.append(p)
-    return EventStream(geometry, xs, ys, ts, ps)
+
+    def __init__(self, f: TextIO, geometry: SensorGeometry):
+        self._f = f
+        self.geometry = geometry
+
+    def __iter__(self) -> Iterator[EventStream]:
+        geometry = self.geometry
+        self._f.seek(0)
+        # Lines end as str.splitlines() ends them, not only at \r, \n and \r\n.
+        lines = (line for piece in self._f for line in piece.splitlines())
+        ts, xs, ys, ps = [], [], [], []
+        prev_t = None
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = stripped.replace(",", " ").split()
+            if len(parts) != 4:
+                raise FormatError(f"line {lineno}: expected 4 fields 't x y p', got {len(parts)}")
+            try:
+                t, x, y, p = (int(v) for v in parts)
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-integer field in {stripped!r}") from None
+            if p == 0:
+                p = -1
+            if p not in (1, -1):
+                raise FormatError(f"line {lineno}: polarity must be 1, -1 or 0, got {p}")
+            if t < 0:
+                raise FormatError(f"line {lineno}: negative timestamp {t}")
+            if t > MAX_TIMESTAMP_US:
+                raise FormatError(f"line {lineno}: timestamp {t} beyond the int64 range")
+            if not (0 <= x < geometry.width and 0 <= y < geometry.height):
+                raise FormatError(
+                    f"line {lineno}: coordinate ({x}, {y}) outside "
+                    f"{geometry.width}x{geometry.height} geometry"
+                )
+            if prev_t is not None and t < prev_t:
+                raise FormatError(f"line {lineno}: timestamp moves backward ({t} after {prev_t})")
+            prev_t = t
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+            ps.append(p)
+            if len(ts) == _BLOCK_RECORDS:
+                yield EventStream(geometry, xs, ys, ts, ps)
+                ts, xs, ys, ps = [], [], [], []
+        if ts:
+            yield EventStream(geometry, xs, ys, ts, ps)
 
 
 def write_text(stream: EventStream) -> str:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from evframes.ingest import FormatError
+from evframes.stream import MAX_TIMESTAMP_US, EventStream
+
 
 def count_field_loop(x, y, width, height):
     """Events per pixel."""
@@ -61,3 +64,41 @@ def scene_events(log_frames, times, threshold, refractory_us=0.0):
             log_frames[:, y, x].tolist(), times.tolist(), threshold, refractory_us
         )
     ]
+
+
+def parse_text_whole(text, geometry):
+    """The ``t x y p`` text parsed whole, line by line; the reference for TextReader."""
+    ts, xs, ys, ps = [], [], [], []
+    prev_t = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.replace(",", " ").split()
+        if len(parts) != 4:
+            raise FormatError(f"line {lineno}: expected 4 fields 't x y p', got {len(parts)}")
+        try:
+            t, x, y, p = (int(v) for v in parts)
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer field in {stripped!r}") from None
+        if p == 0:
+            p = -1
+        if p not in (1, -1):
+            raise FormatError(f"line {lineno}: polarity must be 1, -1 or 0, got {p}")
+        if t < 0:
+            raise FormatError(f"line {lineno}: negative timestamp {t}")
+        if t > MAX_TIMESTAMP_US:
+            raise FormatError(f"line {lineno}: timestamp {t} beyond the int64 range")
+        if not (0 <= x < geometry.width and 0 <= y < geometry.height):
+            raise FormatError(
+                f"line {lineno}: coordinate ({x}, {y}) outside "
+                f"{geometry.width}x{geometry.height} geometry"
+            )
+        if prev_t is not None and t < prev_t:
+            raise FormatError(f"line {lineno}: timestamp moves backward ({t} after {prev_t})")
+        prev_t = t
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+        ps.append(p)
+    return EventStream(geometry, xs, ys, ts, ps)

@@ -23,9 +23,9 @@ from evframes.formats import (
     write_ppm,
     write_scores,
 )
-from evframes.ingest import DAVIS240C_LAYOUT, parse_aedat2, parse_text, write_text
+from evframes.ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, parse_aedat2, parse_text, write_text
 from evframes.scoring import ScoreVector
-from evframes.stream import DAVIS240C_GEOMETRY, SensorGeometry, truncate_by_ratio
+from evframes.stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_by_ratio
 
 from tests.test_formats import make_frames, score_vectors, valid_tensors
 from tests.test_ingest import HEADER, davis_record, dvs128_record
@@ -60,6 +60,22 @@ def davis_file(path, n, seed=0):
         | ((rng.random(n) < 0.1).astype(np.int64) << 31)
     )
     path.write_bytes(HEADER + np.stack([addr, ticks], axis=1).astype(">u4").tobytes())
+
+
+def as_input(src, fmt, layout=DVS128_LAYOUT, geometry=DVS128_GEOMETRY):
+    """The AEDAT file src, or for fmt "text" its events written beside it as text."""
+    if fmt == "aedat":
+        return src
+    text = src.with_suffix(".txt")
+    text.write_text(write_text(parse_aedat2(src.read_bytes(), layout, geometry)))
+    return text
+
+
+def and_text(values):
+    """Each value with format "aedat" under its own id, then with "text" under id "<value>-text"."""
+    return [pytest.param(v, "aedat", id=str(v)) for v in values] + [
+        pytest.param(v, "text", id=f"{v}-text") for v in values
+    ]
 
 
 def intensity_tensor(path, values, dt_us=1000):
@@ -168,12 +184,14 @@ class TestEncode:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("polarity", ["merged", "ignore"])
-    def test_small_blocks_give_identical_tensor_and_images(self, tmp_path, monkeypatch, polarity):
+    @pytest.mark.parametrize("polarity,fmt", and_text(["merged", "ignore"]))
+    def test_small_blocks_give_identical_tensor_and_images(
+        self, tmp_path, monkeypatch, polarity, fmt
+    ):
         rng = np.random.default_rng(5)
         ticks = 2**32 - 30_000 + np.cumsum(rng.integers(0, 2_000, size=60))
-        src = tmp_path / "rec.aedat"
-        src.write_bytes(
+        aedat = tmp_path / "rec.aedat"
+        aedat.write_bytes(
             HEADER
             + b"".join(
                 dvs128_record(int(rng.integers(0, 128)), int(rng.integers(0, 128)),
@@ -181,6 +199,7 @@ class TestEncode:
                 for t in ticks
             )
         )
+        src = as_input(aedat, fmt)
         results = []
         for block in (ingest._BLOCK_RECORDS, 3):
             monkeypatch.setattr(ingest, "_BLOCK_RECORDS", block)
@@ -412,43 +431,53 @@ class TestTruncate:
         assert len(kept) == 100
         assert kept[-1].startswith("99 ")
 
-    @pytest.mark.parametrize("block", [3, 64, ingest._BLOCK_RECORDS])
+    @pytest.mark.parametrize("block,fmt", and_text([3, 64, ingest._BLOCK_RECORDS]))
     @pytest.mark.parametrize("ratio", [1.0, 0.1, 0.05])
-    def test_matches_library_truncation(self, tmp_path, monkeypatch, block, ratio):
-        src, out = tmp_path / "rec.aedat", tmp_path / "out.txt"
-        davis_file(src, 300)
-        stream = parse_aedat2(src.read_bytes(), DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
+    def test_matches_library_truncation(self, tmp_path, monkeypatch, block, fmt, ratio):
+        aedat, out = tmp_path / "rec.aedat", tmp_path / "out.txt"
+        davis_file(aedat, 300)
+        stream = parse_aedat2(aedat.read_bytes(), DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
+        src = as_input(aedat, fmt, DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
         monkeypatch.setattr(ingest, "_BLOCK_RECORDS", block)
         assert run("truncate", src, out, "--layout", "davis240c", "--ratio", ratio) == 0
         assert out.read_text() == write_text(truncate_by_ratio(stream, ratio))
 
-    def test_memory_stays_within_a_few_blocks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["aedat", "text"])
+    def test_memory_stays_within_a_few_blocks(self, tmp_path, monkeypatch, fmt):
         # One block of 1000 records costs about 0.3 MB, mostly its text;
         # the whole 100k-record stream would cost about 25 MB.
-        src, out = tmp_path / "rec.aedat", tmp_path / "out.txt"
-        davis_file(src, 100_000)
+        aedat, out = tmp_path / "rec.aedat", tmp_path / "out.txt"
+        davis_file(aedat, 100_000)
+        src = as_input(aedat, fmt, DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
         monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 1000)
-        code, peak = traced_peak("truncate", src, out, "--layout", "davis240c", "--ratio", 0.9)
+        flags = ("--layout", "davis240c")
+        code, peak = traced_peak("truncate", src, out, *flags, "--ratio", 0.9)
         assert code == 0
         assert peak < 1 << 20
         assert len(out.read_text().splitlines()) > 80_000
+        assert traced_peak("info", src, *flags)[1] < 1 << 20
+        assert traced_peak("encode", src, tmp_path / "frames.evfr", *flags)[1] < 1 << 20
 
     @pytest.mark.parametrize(
-        "body,message",
+        "name,data,message",
         [
-            (b"", "cannot truncate empty stream"),
-            (b"".join(dvs128_record(9 if i == 5 else 1, 1, 1, i) for i in range(8)),
+            ("rec.aedat", HEADER, "cannot truncate empty stream"),
+            ("rec.aedat",
+             HEADER + b"".join(dvs128_record(9 if i == 5 else 1, 1, 1, i) for i in range(8)),
              "record 5: coordinate (9, 1) outside 8x8 geometry"),
+            ("ev.txt", b"", "cannot truncate empty stream"),
+            ("ev.txt", "".join(f"{i} {9 if i == 5 else 1} 1 1\n" for i in range(8)).encode(),
+             "line 6: coordinate (9, 1) outside 8x8 geometry"),
         ],
-        ids=["empty", "bad-coordinate"],
+        ids=["empty", "bad-coordinate", "empty-text", "bad-coordinate-text"],
     )
-    def test_data_error_writes_nothing(self, tmp_path, capsys, monkeypatch, body, message):
+    def test_data_error_writes_nothing(self, tmp_path, capsys, monkeypatch, name, data, message):
         monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 2)
-        src = tmp_path / "rec.aedat"
-        src.write_bytes(HEADER + body)
+        src = tmp_path / name
+        src.write_bytes(data)
         assert run("truncate", src, tmp_path / "out.txt", "--geometry", "8x8", "--ratio", 1) == 1
         assert capsys.readouterr().err == f"evframes: {message}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.aedat"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
     @pytest.mark.parametrize("ratio", ["1.5", "0", "-0.1"])
     def test_out_of_range_ratio_is_usage_error(self, tmp_path, ratio):
@@ -475,19 +504,21 @@ class TestInfo:
         assert "records: 2" in out
         assert "timestamp_wraps: 0" in out
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_block_size_does_not_change_summary(self, tmp_path, capsys, monkeypatch, block):
+    @pytest.mark.parametrize("block,fmt", and_text([1, 2, 7]))
+    def test_block_size_does_not_change_summary(self, tmp_path, capsys, monkeypatch, block, fmt):
         recs = [davis_record(i, 2 * i, 1 if i % 3 else -1, (2**32 - 40 + 10 * i) % 2**32,
                              non_dvs=i % 4 == 1) for i in range(9)]
-        src = tmp_path / "rec.aedat"
-        src.write_bytes(HEADER + b"".join(recs))
+        aedat = tmp_path / "rec.aedat"
+        aedat.write_bytes(HEADER + b"".join(recs))
+        src = as_input(aedat, fmt, DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
         monkeypatch.setattr(ingest, "_BLOCK_RECORDS", block)
         assert run("info", src, "--layout", "davis240c") == 0
-        assert capsys.readouterr().out == (
+        summary = (
             "geometry: 240x180\nevents: 7\nt_first: 4294967256\nt_last: 4294967336\n"
-            "duration_us: 80\npositive: 4\nnegative: 3\nheader_lines: 1\nrecords: 9\n"
-            "skipped_non_dvs: 2\ntimestamp_wraps: 1\n"
+            "duration_us: 80\npositive: 4\nnegative: 3\n"
         )
+        stats = "header_lines: 1\nrecords: 9\nskipped_non_dvs: 2\ntimestamp_wraps: 1\n"
+        assert capsys.readouterr().out == summary + (stats if fmt == "aedat" else "")
 
     @pytest.mark.parametrize("data,header_lines", [(b"", 0), (HEADER, 1)])
     def test_aedat_without_records(self, tmp_path, capsys, data, header_lines):
@@ -718,6 +749,56 @@ def cli_fuzz_test(command):
         fuzz_main(tmp_path_factory.mktemp(command), command, data, variant, bad_flag)
 
     return test
+
+
+# Text inputs, each with the message that info, encode and truncate all gave
+# when text was parsed whole. None: info and encode succeed, and truncate
+# finds no events. Blocks of 2 events put block boundaries between lines.
+TEXT_PARITY = {
+    "fields": ("0 1 1 1\n5 1 1\n", "line 2: expected 4 fields 't x y p', got 3"),
+    "non-integer": ("0 1 1 1\n5 1 x 1\n", "line 2: non-integer field in '5 1 x 1'"),
+    "polarity": ("0 1 1 1\n5 1 1 2\n", "line 2: polarity must be 1, -1 or 0, got 2"),
+    "negative": ("-5 1 1 1\n", "line 1: negative timestamp -5"),
+    "beyond-int64": ("0 1 1 1\n9223372036854775808 1 1 1\n",
+                     "line 2: timestamp 9223372036854775808 beyond the int64 range"),
+    "coordinate": ("0 1 1 1\n5 200 1 1\n", "line 2: coordinate (200, 1) outside 128x128 geometry"),
+    "backward": ("10 1 1 1\n5 1 1 1\n", "line 2: timestamp moves backward (5 after 10)"),
+    "backward-after-boundary": ("0 1 1 1\n# c\n7 1 1 1\n3 1 1 1\n",
+                                "line 4: timestamp moves backward (3 after 7)"),
+    "line-ends": ("0 1 1 1\r\n1 1 1 1\x0b\x1c\u20285 1 1\n",
+                  "line 5: expected 4 fields 't x y p', got 3"),
+    "empty": ("", None),
+    "comments-only": ("# a\n\n  \n# b\r\n", None),
+}
+
+
+class TestTextParity:
+    @pytest.mark.parametrize("command", ["info", "encode", "truncate"])
+    @pytest.mark.parametrize("case", list(TEXT_PARITY))
+    def test_exit_code_and_stderr(self, tmp_path, capsys, monkeypatch, command, case):
+        text, message = TEXT_PARITY[case]
+        if message is None and command == "truncate":
+            message = "cannot truncate empty stream"
+        monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 2)
+        src = tmp_path / "input"
+        src.write_bytes(text.encode())
+        code = run(*fuzz_argv(command, src, tmp_path / "output", variant=1))
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (1, f"evframes: {message}\n")
+            assert [p.name for p in tmp_path.iterdir()] == ["input"]
+
+    @pytest.mark.parametrize("command", ["info", "encode", "truncate"])
+    def test_undecodable_text_is_one_error_line(self, tmp_path, capsys, command):
+        # The decoder reports a position within its chunk of the file, so
+        # only the form of the message is fixed.
+        src = tmp_path / "input"
+        src.write_bytes(b"0 1 1 1\n\xff 1 1 1\n")
+        assert run(*fuzz_argv(command, src, tmp_path / "output", variant=1)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evframes: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestCliFuzz:

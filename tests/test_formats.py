@@ -360,8 +360,9 @@ def tensor_files(draw):
 class TestFrameTensorFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(tensor_files())
-    # No frames, each of whose 2**32-1 cubed pixels no array could shape.
+    # Frame shapes no array could take, with no frames and with one zero-size frame.
     @example(struct.pack("<4sBIIII", b"EVFR", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1, 0))
+    @example(struct.pack("<4sBIIII", b"EVFR", 1, 0, 2**32 - 1, 2**32 - 1, 1) + bytes(17))
     def test_readers_return_alike_or_raise_the_same_format_error(self, data):
         # Any exception other than FormatError fails the property.
         assert_readings_agree(data)

@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evframes import ingest
 from evframes.ingest import (
     DAVIS240C_LAYOUT,
     DVS128_LAYOUT,
     AedatLayout,
     FormatError,
+    TextReader,
     parse_aedat2,
     parse_aedat2_stats,
     parse_text,
@@ -23,6 +26,8 @@ from evframes.stream import (
     SensorGeometry,
     validate_stream,
 )
+
+from tests.oracles import parse_text_whole
 
 HEADER = b"#!AER-DAT2.0\n"
 
@@ -127,14 +132,6 @@ class TestParseAedat2:
         assert stats.skipped_non_dvs == 1
         assert stats.records == 3
         assert stats.events == 2
-
-    def test_timestamp_unit_scales_to_microseconds(self):
-        layout = AedatLayout(
-            x_shift=1, x_mask=0x7F, y_shift=8, y_mask=0x7F,
-            polarity_shift=0, polarity_on_value=0, timestamp_unit=10,
-        )
-        stream = parse_aedat2(dvs128_record(0, 0, 1, 7), layout, DVS128_GEOMETRY)
-        assert stream.t[0] == 70
 
     def test_output_is_valid_stream(self):
         rng = np.random.default_rng(42)
@@ -368,3 +365,80 @@ class TestParserFuzz:
             parse_text(text, TEXT_GEOMETRY)
         except FormatError:
             pass
+
+
+# Every line end str.splitlines() knows.
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def event_texts(draw):
+    """Events with rising timestamps, comments and blank lines, any line ends; maybe corrupted."""
+    t, lines = draw(st.integers(0, 2**40)), []
+    for _ in range(draw(st.integers(0, 12))):
+        line = draw(st.sampled_from(["event"] * 6 + ["bad event", "# note", "", " \t"]))
+        if line.endswith("event"):
+            t += draw(st.integers(0, 50))
+            fields = [t, draw(st.integers(0, 6)), draw(st.integers(0, 4)), draw(st.integers(-1, 1))]
+            if line == "bad event":  # a field out of range, or a backward timestamp
+                bad = [(0, -1), (0, 2**63), (0, 0), (1, 7), (2, 5), (3, 2)]
+                i, value = draw(st.sampled_from(bad))
+                fields[i] = value
+            line = draw(st.sampled_from([" ", ",", "\t", " , "])).join(map(str, fields))
+        lines.append(line + draw(st.sampled_from(LINE_ENDS)))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].splitlines()[0]  # no final line end
+    text = "".join(lines)
+    mutation = draw(st.sampled_from(["none", "none", "replace", "insert", "cut"]))
+    i = draw(st.integers(0, len(text)))
+    if mutation == "replace":
+        text = text[:i] + draw(text_fragments) + text[i + 1 :]
+    elif mutation == "insert":
+        text = text[:i] + draw(text_fragments | st.sampled_from(LINE_ENDS)) + text[i:]
+    elif mutation == "cut":
+        text = text[:i]
+    return text
+
+
+def outcome(read):
+    """What read() returns, or the message of the FormatError it raises."""
+    try:
+        return read()
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestTextReader:
+    """TextReader gives the stream, or the FormatError message, of the whole-text parse."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 2**16])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(event_texts() | arbitrary_text)
+    @example("".join(f"{i} 1 1 1{end}" for i, end in enumerate(LINE_ENDS)) + "# last\n")
+    @example("# header\r\n\r\n10,1,1,1\r\n \t\r\n# mid\r\n20 , 2 , 2 , 0\r\n")
+    @example("0 1 1 1\n5 2 2 -1")
+    @example("0 1 1 1\n5 1 1\n")
+    @example("0 1 1 1\n5 1 x 1\n")
+    @example("0 1 1 2\n")
+    @example("0 1 1 1\n-5 1 1 1\n")
+    @example("0 1 1 1\n9223372036854775808 1 1 1\n")
+    @example("0 7 1 1\n")
+    @example("# c\n10 1 1 1\n\n5 1 1 1\n")
+    # \r\n astride the file object's 8192-character decode chunks
+    @example("0 1 1 1" + " " * 8184 + "\r\n5 1 1\n")
+    def test_matches_the_whole_text_parse(self, block, text):
+        expected = outcome(lambda: parse_text_whole(text, TEXT_GEOMETRY))
+        f = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+        reader = TextReader(f, TEXT_GEOMETRY)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_RECORDS", block)
+            for _ in range(2):  # each iteration reads the file again
+                blocks = outcome(lambda: list(reader))
+                if isinstance(expected, str):
+                    assert blocks == expected
+                else:
+                    n = len(expected)
+                    sizes = [block] * (n // block) + ([n % block] if n % block else [])
+                    assert [len(b) for b in blocks] == sizes
+                    assert EventStream.concat(TEXT_GEOMETRY, blocks) == expected
+            assert outcome(lambda: parse_text(text, TEXT_GEOMETRY)) == expected

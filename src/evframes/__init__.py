@@ -10,8 +10,6 @@ model. The ``evframes`` CLI drives the same pipeline over files.
 """
 
 from .chunking import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_STRIDE,
     POLICY_DROP_ALL_EMPTY,
     POLICY_KEEP,
     Chunk,
@@ -77,8 +75,6 @@ BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_STRIDE",
     "DEFAULT_WINDOW_US",
     "DAVIS240C_GEOMETRY",
     "DAVIS240C_LAYOUT",

@@ -1,9 +1,9 @@
 """Sliding groups of consecutive encoded frames (the classifier input unit).
 
-The buffer holds 3 frames and advances one frame per step, so a sequence of
-N frames yields max(0, N - 2) chunks and the first two frames of a recording
-never head a chunk of their own. Size and stride are configurable for
-ablations but default to the (3, 1) contract.
+The buffer holds 3 frames and advances one frame per step, the paper's
+contract, so a sequence of N frames yields max(0, N - 2) chunks and the first
+two frames of a recording never head a chunk of their own. The empty-frame
+policy then keeps every chunk or drops those whose every frame is empty.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from typing import Sequence
 
 from .encoders import EncodedFrame
 
-DEFAULT_CHUNK_SIZE = 3
-DEFAULT_STRIDE = 1
+_CHUNK_SIZE = 3
 
 POLICY_KEEP = "keep"
 POLICY_DROP_ALL_EMPTY = "drop_all_empty_chunks"
@@ -37,41 +36,21 @@ class Chunk:
         return all(f.empty for f in self.frames)
 
 
-def select_chunks(
-    empty: Sequence[bool],
-    policy: str = POLICY_KEEP,
-    size: int = DEFAULT_CHUNK_SIZE,
-    stride: int = DEFAULT_STRIDE,
-) -> list[range]:
-    """Frame indices of each chunk that policy keeps, over frames with these empty flags.
+def select_chunks(empty: Sequence[bool], policy: str = POLICY_KEEP) -> list[range]:
+    """Frame indices of each chunk that policy keeps, over frames with these empty flags."""
+    drop = _drops_all_empty(policy)
+    chunks = [range(j, j + _CHUNK_SIZE) for j in range(len(empty) - _CHUNK_SIZE + 1)]
+    return [r for r in chunks if not (drop and all(empty[r.start : r.stop]))]
 
-    Chunks of `size` frames start at frames 0, stride, 2*stride, ... as long
-    as they fit: N >= size frames give (N - size) // stride + 1 chunks before
-    the policy, fewer give none. ``keep`` keeps every chunk;
-    ``drop_all_empty_chunks`` drops the chunks whose every frame is empty.
+
+def make_chunks(frames: Sequence[EncodedFrame]) -> list[Chunk]:
+    """Group frames into overlapping chunks of 3, advancing by one frame.
+
+    Fewer than 3 frames yield no chunks. All frames must share geometry,
+    kind and polarity mode; the first mismatching frame is named in the
+    error.
     """
-    if size < 1 or stride < 1:
-        raise ValueError("chunk size and stride must be >= 1")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    chunks = [range(j, j + size) for j in range(0, len(empty) - size + 1, stride)]
-    if policy == POLICY_DROP_ALL_EMPTY:
-        chunks = [r for r in chunks if not all(empty[r.start : r.stop])]
-    return chunks
-
-
-def make_chunks(
-    frames: Sequence[EncodedFrame],
-    size: int = DEFAULT_CHUNK_SIZE,
-    stride: int = DEFAULT_STRIDE,
-) -> list[Chunk]:
-    """Group frames into overlapping chunks of `size`, advancing by `stride`.
-
-    Fewer than `size` frames yield no chunks. All frames must share
-    geometry, kind and polarity mode; the first mismatching frame is named
-    in the error.
-    """
-    ranges = select_chunks([f.empty for f in frames], POLICY_KEEP, size, stride)
+    ranges = select_chunks([f.empty for f in frames])
     if len({(f.pixels.shape, f.kind, f.polarity_mode) for f in frames}) > 1:
         first = frames[0]
         for i, f in enumerate(frames[1:], start=1):
@@ -91,11 +70,14 @@ def make_chunks(
 
 
 def apply_empty_policy(chunks: Sequence[Chunk], policy: str = POLICY_KEEP) -> list[Chunk]:
-    """Filter chunks per the empty-frame policy.
+    """Filter chunks per the empty-frame policy."""
+    drop = _drops_all_empty(policy)
+    return [c for c in chunks if not (drop and c.all_empty)]
 
-    ``keep`` passes everything through; ``drop_all_empty_chunks`` removes
-    chunks whose every frame carries the empty flag.
-    """
-    # The rule of select_chunks, applied to chunks of one frame that is empty
-    # when all of the chunk's frames are.
-    return [chunks[r.start] for r in select_chunks([c.all_empty for c in chunks], policy, 1)]
+
+def _drops_all_empty(policy: str) -> bool:
+    """The empty-frame policy rule: ``keep`` keeps every chunk, and
+    ``drop_all_empty_chunks`` drops the chunks whose every frame is empty."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    return policy == POLICY_DROP_ALL_EMPTY

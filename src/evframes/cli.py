@@ -28,7 +28,7 @@ from .encoders import (
 from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pgm, write_ppm
 from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, TextReader, write_text
 from .scoring import temporal_average_pool
-from .simulator import SimConfig, simulate
+from .simulator import SimConfig, check_frame_times, simulate_intervals
 from .stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_block
 from .windowing import DEFAULT_WINDOW_US, WindowConfig, segment_blocks
 
@@ -94,7 +94,7 @@ def _open_blocks(args) -> Iterator[AedatReader | TextReader]:
     layout, native_geometry = _LAYOUTS[args.layout]
     geometry = args.geometry if args.geometry is not None else native_geometry
     if fmt == "text":
-        with open(args.input, newline="") as f:
+        with open(args.input, newline="", encoding="utf-8", errors="surrogateescape") as f:
             yield TextReader(f, geometry)
     else:
         with open(args.input, "rb") as f:
@@ -198,14 +198,12 @@ def cmd_simulate(args) -> int:
             raise ValueError(
                 f"simulate needs 1-channel intensity frames, got {tensor.channels} channels"
             )
-        if len(times) < 2:
-            raise ValueError("need at least two frames to interpolate between")
-        intensities = np.empty((len(times), tensor.height, tensor.width))
-        for i, frame in enumerate(tensor.frames()):
-            intensities[i] = frame.pixels[:, :, 0]
-    intensities += 1.0
-    out = simulate(intensities, times, SimConfig(args.threshold, args.refractory_us))
-    Path(args.output).write_text(write_text(out))
+        check_frame_times(times, len(times))
+        log_frames = (np.log(frame.pixels[:, :, 0] + 1.0) for frame in tensor.frames())
+        config = SimConfig(args.threshold, args.refractory_us)
+        with _replace_on_success(Path(args.output)) as out:
+            for block in simulate_intervals(log_frames, times, config):
+                out.write(write_text(block).encode("ascii"))
     return 0
 
 

@@ -22,8 +22,9 @@ then coordinates; a bad coordinate is therefore reported only once every
 tick has been checked. :func:`parse_aedat2_stats` reads bytes through the
 same reader and joins the blocks.
 
-Text format: one event per line as ``t x y p`` (whitespace or commas),
-``#`` comment lines skipped, polarity accepted as 1/-1/0 with 0 read as -1.
+Text format: UTF-8, one event per line as ``t x y p`` (whitespace or
+commas), ``#`` comment lines skipped, polarity accepted as 1/-1/0 with 0
+read as -1.
 Text is read in blocks of ``_BLOCK_RECORDS`` events by :class:`TextReader`,
 in bounded memory; the previous timestamp and the line number carry across
 blocks. :func:`parse_text` reads a string through the same reader.
@@ -298,11 +299,13 @@ def parse_text(text: str, geometry: SensorGeometry) -> EventStream:
 class TextReader:
     """Parse a ``t x y p`` text file block by block (see module docstring).
 
-    ``f`` is a seekable text file object opened with ``newline=""``. Each
-    iteration reads it from the start and yields one EventStream per
+    ``f`` is a seekable text file object opened with ``newline=""``, and
+    for a file on disk with ``encoding="utf-8", errors="surrogateescape"``.
+    Each iteration reads it from the start and yields one EventStream per
     ``_BLOCK_RECORDS`` events. Raises FormatError with a 1-based line
-    number for malformed lines, out-of-bounds coordinates, timestamps
-    outside [0, 2**63 - 1], or timestamps that move backward.
+    number for lines that are not valid UTF-8, malformed lines,
+    out-of-bounds coordinates, timestamps outside [0, 2**63 - 1], or
+    timestamps that move backward.
     """
 
     def __init__(self, f: TextIO, geometry: SensorGeometry):
@@ -317,6 +320,12 @@ class TextReader:
         ts, xs, ys, ps = [], [], [], []
         prev_t = None
         for lineno, line in enumerate(lines, start=1):
+            # Bytes that are not UTF-8 read as lone surrogates, which encode() refuses.
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise FormatError(f"line {lineno}: not valid UTF-8") from None
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -8,18 +8,20 @@ jump emits a burst of events along the interpolated ramp. An optional
 refractory period suppresses (but never re-times) crossings that land too
 soon after the previous emitted one; the reference level steps either way.
 
-Crossings are generated with numpy, one frame interval at a time across all
-pixels. Because reference stepping does not depend on suppression, the
-refractory period is applied afterwards as a separate gate over the
-generated crossings. Crossing times are computed in exact float
-microseconds and rounded half-up to integer microseconds only on output.
-Events are returned in (timestamp, row-major pixel index) order, which
-makes the output a valid, deterministically ordered stream.
+The sensor is stepped one frame interval at a time across all pixels, as
+ESIM and v2e do. Between intervals it carries only each pixel's reference
+level and the exact time of its last emitted event, so a scene of any
+length needs two frames and one interval's events in memory. Crossing times
+are computed in exact float microseconds and rounded half-up to integer
+microseconds only on output, never to before the interval's first frame.
+Events come out in (timestamp, row-major pixel index) order, which makes
+the output a valid, deterministically ordered stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -60,7 +62,16 @@ def simulate(intensities, timestamps_us, config: SimConfig = SimConfig()) -> Eve
     times = np.asarray(timestamps_us, dtype=np.int64)
     if frames.ndim != 3:
         raise ValueError(f"intensities must be (N, H, W), got shape {frames.shape}")
-    n_frames, height, width = frames.shape
+    check_frame_times(times, len(frames))
+    if np.any(frames <= 0):
+        raise ValueError("intensities must be strictly positive (log is taken)")
+    blocks = list(simulate_intervals((np.log(frame) for frame in frames), times, config))
+    return EventStream.concat(blocks[0].geometry, blocks)
+
+
+def check_frame_times(times: np.ndarray, n_frames: int) -> None:
+    """Raise ValueError unless the int64 times are n_frames >= 2 strictly increasing
+    frame times within 0..2**53 us."""
     if n_frames < 2:
         raise ValueError("need at least two frames to interpolate between")
     if times.shape != (n_frames,):
@@ -70,89 +81,71 @@ def simulate(intensities, timestamps_us, config: SimConfig = SimConfig()) -> Eve
         raise ValueError(f"frame timestamps must lie in 0..{_MAX_TIME_US} us")
     if np.any(np.diff(times) <= 0):
         raise ValueError("frame timestamps must be strictly increasing")
-    if np.any(frames <= 0):
-        raise ValueError("intensities must be strictly positive (log is taken)")
-
-    t, pix, p = _simulate_crossings(
-        np.log(frames), times, float(config.contrast_threshold),
-        float(config.refractory_period_us),
-    )
-    # Crossings come out interval by interval, pixel-major within an
-    # interval, so a pixel's later crossing can precede another's earlier one.
-    order = np.lexsort((pix, t))
-    pix = pix[order]
-    return EventStream(SensorGeometry(width, height), pix % width, pix // width, t[order], p[order])
 
 
-def _simulate_crossings(log_frames, times_us, threshold, refractory_us):
-    """All emitted crossings of an (N, H, W) log-intensity stack.
+def simulate_intervals(
+    log_frames: Iterable[np.ndarray], times: np.ndarray, config: SimConfig
+) -> Iterator[EventStream]:
+    """The events of a scene as one block per frame interval, in output order.
 
-    Returns rounded times, row-major pixel indices and polarities, ordered
-    by interval and, within an interval, by pixel and then crossing.
+    log_frames yields the (H, W) log intensities at the frame times, which
+    :func:`check_frame_times` has passed. Joined, the blocks are the stream
+    :func:`simulate` returns. A block holds the events of its interval that
+    round to before the interval's end; the rest are held back and ordered
+    with the next interval's, which can round to the same microsecond.
     """
-    n_frames, height, width = log_frames.shape
-    flat = log_frames.reshape(n_frames, height * width)
-    ref = flat[0].copy()
-
-    t_parts, pix_parts, p_parts, exact_parts = [], [], [], []
-    for f in range(n_frames - 1):
-        l0 = flat[f]
-        l1 = flat[f + 1]
+    threshold = float(config.contrast_threshold)
+    refractory_us = float(config.refractory_period_us)
+    frames = iter(log_frames)
+    l0 = next(frames)
+    height, width = l0.shape
+    geometry = SensorGeometry(width, height)
+    l0 = l0.ravel()
+    ref = l0.copy()
+    last = np.full(l0.size, -np.inf)  # each pixel's last emitted exact time
+    held_t = held_pix = np.empty(0, dtype=np.int64)
+    held_p = np.empty(0, dtype=np.int8)
+    for f, l1 in enumerate(frames):
+        l1 = l1.ravel()
         direction = np.sign(l1 - l0)
         # direction == 0 makes the product 0, so static pixels count 0 crossings
         n_cross = np.maximum(np.floor(direction * (l1 - ref) / threshold), 0).astype(np.int64)
-        total = int(n_cross.sum())
-        if total:
-            active = np.flatnonzero(n_cross)
-            reps = n_cross[active]
-            pix = np.repeat(active, reps)
-            # k = 1..n_cross per pixel, restarting at each active pixel
-            offsets = np.concatenate(([0], np.cumsum(reps)[:-1]))
-            k = np.arange(total, dtype=np.int64) - np.repeat(offsets, reps) + 1
-            sgn = direction[pix]
-            level = ref[pix] + sgn * k * threshold
-            t0 = float(times_us[f])
-            dt = float(times_us[f + 1] - times_us[f])
-            t_exact = t0 + (level - l0[pix]) * (dt / (l1[pix] - l0[pix]))
-            t_parts.append(np.floor(t_exact + 0.5).astype(np.int64))
-            pix_parts.append(pix)
-            p_parts.append(sgn.astype(np.int8))
-            exact_parts.append(t_exact)
+        active = np.flatnonzero(n_cross)
+        reps = n_cross[active]
+        # Active pixel i owns crossings starts[i] .. starts[i] + reps[i] - 1,
+        # k = 1..reps[i], in time order.
+        starts = np.cumsum(reps) - reps
+        pix = np.repeat(active, reps)
+        k = np.arange(len(pix), dtype=np.int64) - np.repeat(starts, reps) + 1
+        sgn = direction[pix]
+        level = ref[pix] + sgn * k * threshold
+        t0 = float(times[f])
+        dt = float(times[f + 1] - times[f])
+        t_exact = t0 + (level - l0[pix]) * (dt / (l1[pix] - l0[pix]))
         ref = ref + direction * n_cross * threshold
+        l0 = l1
 
-    if not t_parts:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e.astype(np.int8)
+        keep = np.ones(len(pix), dtype=bool)
+        # The refractory gate: the r-th crossing of every active pixel at once,
+        # against the pixel's last emitted time, for r = 0, 1, ...
+        for r in range(int(reps.max(initial=0)) if refractory_us > 0 else 0):
+            live = reps > r
+            active, starts, reps = active[live], starts[live], reps[live]
+            i = starts + r
+            ok = ~(t_exact[i] - last[active] < refractory_us)
+            keep[i[~ok]] = False
+            last[active[ok]] = t_exact[i[ok]]
 
-    t = np.concatenate(t_parts)
-    pix = np.concatenate(pix_parts)
-    p = np.concatenate(p_parts)
-    if refractory_us > 0:
-        keep = _refractory_keep(pix, np.concatenate(exact_parts), refractory_us)
-        t, pix, p = t[keep], pix[keep], p[keep]
-    return t, pix, p
-
-
-def _refractory_keep(pix, t_exact, refractory_us):
-    """Mask of the crossings the refractory period lets through.
-
-    A pixel's first crossing is always emitted; each later one is emitted
-    unless it lands less than refractory_us after the pixel's last emitted
-    crossing. The crossings are chronological within each pixel, so after a
-    stable sort by pixel the r-th crossing of every pixel can be gated at
-    once, for r = 1, 2, ..., against a vector of last emitted times.
-    """
-    order = np.argsort(pix, kind="stable")
-    by_pixel = pix[order]
-    first = np.flatnonzero(np.r_[True, by_pixel[1:] != by_pixel[:-1]])
-    count = np.diff(np.r_[first, len(pix)])
-    last = t_exact[order[first]]
-    keep = np.ones(len(pix), dtype=bool)
-    for r in range(1, int(count.max())):
-        live = count > r
-        first, count, last = first[live], count[live], last[live]
-        i = order[first + r]
-        ok = ~(t_exact[i] - last < refractory_us)
-        keep[i[~ok]] = False
-        last = np.where(ok, t_exact[i], last)
-    return keep
+        # When a level lies within rounding of l0, cancellation in level - l0
+        # can put its crossing before t0, by up to dt times the ratio of that
+        # rounding to l1 - l0. It rounds to t0, so that no event precedes its
+        # interval and the blocks join in order.
+        t = np.maximum(np.floor(t_exact[keep] + 0.5), t0).astype(np.int64)
+        t = np.concatenate((held_t, t))
+        pix = np.concatenate((held_pix, pix[keep]))
+        p = np.concatenate((held_p, sgn[keep].astype(np.int8)))
+        order = np.lexsort((pix, t))  # stable, so held events stay first among ties
+        t, pix, p = t[order], pix[order], p[order]
+        cut = len(t) if f + 2 == len(times) else np.searchsorted(t, times[f + 1])
+        held_t, held_pix, held_p = t[cut:], pix[cut:], p[cut:]
+        yield EventStream(geometry, pix[:cut] % width, pix[:cut] // width, t[:cut], p[:cut])

@@ -40,10 +40,6 @@ class SensorGeometry:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"geometry must be at least 1x1, got {self.width}x{self.height}")
 
-    @property
-    def num_pixels(self) -> int:
-        return self.width * self.height
-
 
 DVS128_GEOMETRY = SensorGeometry(128, 128)
 DAVIS240C_GEOMETRY = SensorGeometry(240, 180)
@@ -140,11 +136,6 @@ class EventStream:
         if len(self) == 0:
             raise ValueError("empty stream has no last timestamp")
         return int(self.t[-1])
-
-    @property
-    def duration_us(self) -> int:
-        """Time span t_last - t_first; 0 for streams with fewer than 2 events."""
-        return 0 if len(self) < 2 else self.t_last - self.t_first
 
 
 def _column(values, dtype) -> np.ndarray:

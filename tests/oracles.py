@@ -47,7 +47,9 @@ def scalar_pixel_events(levels, times, threshold, refractory_us=0.0):
             level = ref + direction * k * threshold
             t_cross = times[f] + (level - l0) * inv_slope
             if refractory_us <= 0 or t_cross - last_emit >= refractory_us:
-                out.append((int(math.floor(t_cross + 0.5)), 1 if direction > 0 else -1))
+                # No event rounds to before its interval's first frame.
+                t_out = max(int(math.floor(t_cross + 0.5)), times[f])
+                out.append((t_out, 1 if direction > 0 else -1))
                 last_emit = t_cross
         ref += direction * n_cross * threshold
     return out
@@ -71,6 +73,8 @@ def parse_text_whole(text, geometry):
     ts, xs, ys, ps = [], [], [], []
     prev_t = None
     for lineno, line in enumerate(text.splitlines(), start=1):
+        if any(0xD800 <= ord(c) <= 0xDFFF for c in line):  # lone surrogates: bytes not UTF-8
+            raise FormatError(f"line {lineno}: not valid UTF-8")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

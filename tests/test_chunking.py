@@ -76,10 +76,6 @@ class TestMakeChunks:
         with pytest.raises(ValueError, match=r"^frame 2: shape 5x4x3 does not match frame 0 \(4x4x3\)$"):
             make_chunks(fs)
 
-    def test_custom_size_and_stride(self):
-        chunks = make_chunks(frames(6), size=2, stride=2)
-        assert [c.frame_indices for c in chunks] == [(0, 1), (2, 3), (4, 5)]
-
 
 class TestEmptyPolicy:
     def test_keep_is_identity(self):
@@ -116,18 +112,13 @@ class TestSelectChunks:
         assert select_chunks([False] * 5) == [range(0, 3), range(1, 4), range(2, 5)]
 
     @pytest.mark.parametrize("policy", [POLICY_KEEP, POLICY_DROP_ALL_EMPTY])
-    @pytest.mark.parametrize("size,stride", [(3, 1), (1, 1), (2, 2), (4, 3)])
-    def test_matches_chunk_objects(self, policy, size, stride):
-        rng = np.random.default_rng(size * 10 + stride)
+    def test_matches_chunk_objects(self, policy):
+        rng = np.random.default_rng(31)
         for _ in range(30):
             mask = [bool(v) for v in rng.integers(0, 2, size=int(rng.integers(0, 12)))]
-            kept = apply_empty_policy(make_chunks(frames(len(mask), mask), size, stride), policy)
-            assert select_chunks(mask, policy, size, stride) == [
-                range(c.index - size + 1, c.index + 1) for c in kept
-            ]
+            kept = apply_empty_policy(make_chunks(frames(len(mask), mask)), policy)
+            assert select_chunks(mask, policy) == [range(c.index - 2, c.index + 1) for c in kept]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown policy"):
             select_chunks([], "discard")
-        with pytest.raises(ValueError, match="size and stride"):
-            select_chunks([False] * 4, POLICY_KEEP, size=0)

@@ -25,6 +25,7 @@ from evframes.formats import (
 )
 from evframes.ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, parse_aedat2, parse_text, write_text
 from evframes.scoring import ScoreVector
+from evframes.simulator import SimConfig, simulate
 from evframes.stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_by_ratio
 
 from tests.test_formats import make_frames, score_vectors, valid_tensors
@@ -405,6 +406,32 @@ class TestSimulate:
         tensor.write_bytes(write_frame_tensor(frames))
         assert run("simulate", tensor, tmp_path / "out.txt") == 1
         assert "1-channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("refractory", [0, 700])
+    def test_matches_library_simulate(self, tmp_path, refractory):
+        rng = np.random.default_rng(refractory)
+        values = rng.integers(0, 256, size=(6, 5, 7))
+        tensor, out = tmp_path / "in.evfr", tmp_path / "events.txt"
+        intensity_tensor(tensor, values, dt_us=1500)
+        assert run("simulate", tensor, out, "--refractory-us", refractory) == 0
+        times = np.arange(6) * 1500
+        expected = simulate(values + 1.0, times, SimConfig(0.2, refractory))
+        assert len(expected) > 100
+        assert out.read_text() == write_text(expected)
+
+    def test_memory_stays_within_a_few_frames(self, tmp_path):
+        # 64 DAVIS240C frames, whose float64 stack alone is 22 MB, with a
+        # bright square drifting over a still background.
+        values = np.full((64, 180, 240), 40, dtype=np.uint8)
+        for i in range(64):
+            values[i, 60:100, 2 * i : 2 * i + 40] = 200
+        tensor, out = tmp_path / "in.evfr", tmp_path / "events.txt"
+        intensity_tensor(tensor, values)
+        code, peak = traced_peak("simulate", tensor, out)
+        assert code == 0
+        assert peak < 8 << 20
+        expected = simulate(values + 1.0, np.arange(64) * 1000, SimConfig())
+        assert out.read_text() == write_text(expected)
 
     def test_single_frame_is_data_error(self, tmp_path, capsys):
         tensor = tmp_path / "in.evfr"
@@ -792,13 +819,18 @@ class TestTextParity:
 
     @pytest.mark.parametrize("command", ["info", "encode", "truncate"])
     def test_undecodable_text_is_one_error_line(self, tmp_path, capsys, command):
-        # The decoder reports a position within its chunk of the file, so
-        # only the form of the message is fixed.
         src = tmp_path / "input"
         src.write_bytes(b"0 1 1 1\n\xff 1 1 1\n")
         assert run(*fuzz_argv(command, src, tmp_path / "output", variant=1)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("evframes: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert capsys.readouterr().err == "evframes: line 2: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("line", [b"\xff 1 1 1", b"# caf\xe9"], ids=["data", "comment"])
+    def test_bad_byte_past_the_first_decode_chunk_names_its_line(self, tmp_path, capsys, line):
+        # 3000 lines of 12 bytes put line 3001 well past the decoder's first 8 KiB.
+        src = tmp_path / "input"
+        src.write_bytes(b"".join(b"%d 1 1 1\n" % (10_000 + i) for i in range(3000)) + line + b"\n")
+        assert run("info", src) == 1
+        assert capsys.readouterr().err == "evframes: line 3001: not valid UTF-8\n"
 
 
 class TestCliFuzz:

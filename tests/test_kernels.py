@@ -15,7 +15,7 @@ from evframes.encoders import (
     timestamp_field,
 )
 from evframes.pipeline import encode_stream
-from evframes.simulator import SimConfig, _simulate_crossings, simulate
+from evframes.simulator import SimConfig, simulate, simulate_intervals
 from evframes.stream import EventStream, SensorGeometry
 from evframes.windowing import EventWindow, WindowConfig, segment
 from tests.oracles import count_field_loop, last_timestamp_loop, scene_events
@@ -128,16 +128,17 @@ class TestLoopVsNumpy:
         for refractory in (0.0, 120.0, 1500.0):
             for log_frames, times in [random_scene(rng) for _ in range(10)] + [deep]:
                 expected = scene_events(log_frames, times, 0.2, refractory)
-                assert generated_events(log_frames, times, 0.2, refractory) == sorted(expected)
+                assert generated_events(log_frames, times, 0.2, refractory) == sorted(
+                    expected, key=lambda e: (e[0], e[2], e[1])
+                )
             if refractory:
                 assert len(scene_events(*deep, 0.2, refractory)) <= 2 / 3 * len(everything)
 
 
 def generated_events(log_frames, times, threshold, refractory_us):
-    """The numpy generator's crossings as sorted (t, x, y, p) tuples."""
-    t, pix, p = _simulate_crossings(log_frames, times, threshold, refractory_us)
-    width = log_frames.shape[2]
-    return sorted(zip(t.tolist(), (pix % width).tolist(), (pix // width).tolist(), p.tolist()))
+    """The interval generator's events, joined, as (t, x, y, p) tuples in output order."""
+    blocks = simulate_intervals(log_frames, times, SimConfig(threshold, refractory_us))
+    return [e for b in blocks for e in zip(b.t.tolist(), b.x.tolist(), b.y.tolist(), b.p.tolist())]
 
 
 def one_window(geometry, events):

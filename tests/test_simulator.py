@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evframes.ingest import parse_text, write_text
 from evframes.simulator import SimConfig, simulate
 from evframes.stream import validate_stream
-from tests.oracles import scalar_pixel_events
+from tests.oracles import scalar_pixel_events, scene_events
 
 
 def single_pixel_scene(log_levels, times):
@@ -118,6 +120,53 @@ class TestAgainstScalarWalk:
         for e in out:
             got.setdefault((e.x, e.y), []).append((e.t, e.p))
         assert got == per_pixel
+
+
+@st.composite
+def scenes(draw):
+    """(log frames, frame times, threshold, refractory) of a random scene of 3+ frames.
+
+    Levels on a grid of tenths land crossings exactly on frame times and
+    give several pixels the same crossing times. Frame times spread over
+    0..2**53, or crowd at either end of it.
+    """
+    n, height, width = draw(st.integers(3, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    level = st.integers(-30, 30).map(lambda k: k / 10) | st.floats(-3.0, 3.0)
+    logs = draw(st.lists(level, min_size=n * height * width, max_size=n * height * width))
+    gaps = st.lists(st.integers(1, 5000), min_size=n - 1, max_size=n - 1)
+    times = draw(
+        st.sets(st.integers(0, 2**53), min_size=n, max_size=n).map(sorted)
+        | gaps.map(lambda g: np.cumsum([0, *g]).tolist())
+        | gaps.map(lambda g: (2**53 - np.cumsum([0, *g])[::-1]).tolist())
+    )
+    threshold = draw(st.sampled_from([0.1, 0.2, 0.25, 0.3]))
+    refractory = draw(st.sampled_from([0, 0, 1, 300, 10**6, 10**15]))
+    return np.reshape(logs, (n, height, width)), np.array(times, dtype=np.int64), threshold, refractory
+
+
+class TestAgainstSceneOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scenes())
+    # A crossing whose level rounds past its interval's first frame: see below.
+    @example(([[[-0.3]], [[0.9]], [[0.9 + 1e-9]]], np.array([0, 1000, 10**12]), 0.2, 0))
+    def test_matches_the_scalar_walks_in_output_order(self, scene):
+        logs, times, threshold, refractory = scene
+        frames = np.exp(logs)
+        out = simulate(frames, times, SimConfig(threshold, refractory))
+        expected = scene_events(np.log(frames), times, threshold, refractory)
+        # (t, row-major pixel) order; a pixel's events at one time stay chronological
+        expected.sort(key=lambda e: (e[0], e[2], e[1]))
+        assert list(zip(out.t.tolist(), out.x.tolist(), out.y.tolist(), out.p.tolist())) == expected
+
+    def test_no_event_rounds_to_before_its_interval(self):
+        # 1.2 / 0.2 floors to 5 crossings in the first interval, and the reference
+        # 0.7 plus 0.2 rounds to just below 0.9. The sixth crossing, of the second
+        # interval, thus sits at a level its start already passed, and the tiny
+        # slope there used to place it 110 ms before time 0.
+        frames, times = single_pixel_scene([-0.3, 0.9, 0.9 + 1e-9], [0, 1000, 10**12])
+        out = simulate(frames, times, SimConfig(0.2))
+        assert out.t.tolist() == [167, 333, 500, 667, 833, 1000]
+        assert validate_stream(out) == []
 
 
 class TestOutputOrdering:

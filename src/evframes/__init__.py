@@ -23,6 +23,7 @@ from .encoders import (
     POLARITY_IGNORE,
     POLARITY_MERGED,
     EncodedFrame,
+    encode_stream,
     encode_window,
     event_count_field,
     quantize,
@@ -52,7 +53,6 @@ from .ingest import (
     parse_text,
     write_text,
 )
-from .pipeline import encode_stream
 from .scoring import ScoreVector, VideoPrediction, temporal_average_pool
 from .simulator import SimConfig, simulate
 from .stream import (
@@ -62,7 +62,7 @@ from .stream import (
     EventStream,
     SensorGeometry,
     Violation,
-    truncate_block,
+    truncate_blocks,
     truncate_by_ratio,
     validate_stream,
 )
@@ -121,7 +121,7 @@ __all__ = [
     "simulate",
     "temporal_average_pool",
     "timestamp_field",
-    "truncate_block",
+    "truncate_blocks",
     "truncate_by_ratio",
     "validate_stream",
     "write_frame_tensor",

@@ -29,7 +29,7 @@ from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, wri
 from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, TextReader, write_text
 from .scoring import temporal_average_pool
 from .simulator import SimConfig, check_frame_times, simulate_intervals
-from .stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_block
+from .stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_blocks
 from .windowing import DEFAULT_WINDOW_US, WindowConfig, segment_blocks
 
 _LAYOUTS = {
@@ -177,7 +177,8 @@ def cmd_chunk(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    vectors, class_names = parse_scores(Path(args.scores).read_text())
+    with open(args.scores, newline="", encoding="utf-8", errors="surrogateescape") as f:
+        vectors, class_names = parse_scores(f.read())
     prediction = temporal_average_pool(vectors, class_names=class_names)
     lines = [
         "mean_scores: " + " ".join(repr(float(s)) for s in prediction.mean_scores),
@@ -208,22 +209,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    # Two passes over the blocks: the cutoff needs the last timestamp, and
-    # the first pass also finds every parse error before the output is opened.
-    t_first = t_last = None
     with _open_blocks(args) as reader:
-        for block in reader:
-            if len(block):
-                t_first = block.t_first if t_first is None else t_first
-                t_last = block.t_last
-        if t_first is None:
-            raise ValueError("cannot truncate empty stream")
+        heads = truncate_blocks(reader, args.ratio)  # input errors come before the output opens
         with _replace_on_success(Path(args.output)) as f:
-            for block in reader:
-                head = truncate_block(block, args.ratio, t_first, t_last)
-                f.write(write_text(head).encode("ascii"))
-                if len(head) < len(block):
-                    break
+            f.writelines(write_text(head).encode("ascii") for head in heads)
     return 0
 
 
@@ -231,11 +220,8 @@ def cmd_info(args) -> int:
     events = positive = negative = 0
     t_first = t_last = None
     with _open_blocks(args) as reader:
-        for block in reader:
-            if len(block) == 0:
-                continue
-            if t_first is None:
-                t_first = block.t_first
+        for block in filter(len, reader):
+            t_first = block.t_first if t_first is None else t_first
             t_last = block.t_last
             events += len(block)
             positive += int(np.count_nonzero(block.p == 1))

@@ -15,7 +15,8 @@ events in channel 0, negative in channel 1, channel 2 zero, of a 3-channel
 8-bit frame) or ``ignore`` (1 channel, all events pooled). Quantization maps
 v to round(255 * v / v_max) with round-half-up; v_max is fixed at 1.0 for
 the timestamp kind and is the joint maximum over both polarity fields for
-the count kind, so each frame is self-normalized.
+the count kind, so each frame is self-normalized. :func:`encode_stream`
+encodes every window of a stream in memory, one frame per window.
 
 Frames and fields come from one scatter: every event of the window gets its
 raster cell and a value. A count cell is assigned, since every event of a
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .windowing import EventWindow
+from .stream import EventStream
+from .windowing import EventWindow, WindowConfig, segment
 
 KIND_TIMESTAMP = "timestamp"
 KIND_EVENT_COUNT = "event_count"
@@ -178,3 +180,13 @@ def encode_window(window: EventWindow, kind: str, polarity_mode: str) -> Encoded
     return EncodedFrame(
         pixels, kind, polarity_mode, window.window_start, window.window_end, window.empty
     )
+
+
+def encode_stream(
+    stream: EventStream,
+    config: WindowConfig = WindowConfig(),
+    kind: str = "timestamp",
+    polarity_mode: str = POLARITY_MERGED,
+) -> list[EncodedFrame]:
+    """Segment a stream and encode every window; one frame per window."""
+    return [encode_window(w, kind, polarity_mode) for w in segment(stream, config)]

@@ -45,7 +45,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .encoders import EncodedFrame
-from .ingest import FormatError
+from .ingest import FormatError, _check_utf8
 from .scoring import ScoreVector
 
 FRAME_TENSOR_MAGIC = b"EVFR"
@@ -140,8 +140,8 @@ def _frame_records(
 ) -> Iterator[tuple[bytes, np.ndarray]]:
     """Each frame's packed prefix and C-contiguous uint8 pixels, checked in frame order.
 
-    Raises ValueError on a frame whose shape differs from shape, or on the
-    frame that would pass ``MAX_FRAME_COUNT``.
+    Raises ValueError on a frame of the wrong shape or with non-int64 window
+    bounds, or on the frame that would pass ``MAX_FRAME_COUNT``.
     """
     for i, frame in enumerate(frames):
         if i == MAX_FRAME_COUNT:
@@ -151,7 +151,10 @@ def _frame_records(
             )
         if frame.pixels.shape != shape:
             raise ValueError(f"frame {i}: shape {frame.pixels.shape} does not match {shape}")
-        prefix = _FRAME_PREFIX.pack(frame.window_start, frame.window_end, 1 if frame.empty else 0)
+        try:
+            prefix = _FRAME_PREFIX.pack(frame.window_start, frame.window_end, bool(frame.empty))
+        except struct.error:
+            raise ValueError(f"frame {i}: window bounds are not int64 values") from None
         yield prefix, np.ascontiguousarray(frame.pixels, dtype=np.uint8)
 
 
@@ -291,7 +294,7 @@ def write_scores(vectors: Sequence[ScoreVector], class_names: Sequence[str] | No
 def parse_scores(text: str) -> tuple[list[ScoreVector], list[str] | None]:
     """Parse a score table; returns the vectors and the class names, if any.
 
-    Enforces the header, a constant score count per line, and strictly
+    Enforces UTF-8, the header, a constant score count per line, and strictly
     increasing chunk indices. Errors carry 1-based line numbers.
     """
     k = None
@@ -299,6 +302,8 @@ def parse_scores(text: str) -> tuple[list[ScoreVector], list[str] | None]:
     vectors: list[ScoreVector] = []
     last_index = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():
+            _check_utf8(raw, lineno)
         line = raw.strip()
         if not line:
             continue

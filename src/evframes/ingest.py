@@ -320,12 +320,8 @@ class TextReader:
         ts, xs, ys, ps = [], [], [], []
         prev_t = None
         for lineno, line in enumerate(lines, start=1):
-            # Bytes that are not UTF-8 read as lone surrogates, which encode() refuses.
             if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise FormatError(f"line {lineno}: not valid UTF-8") from None
+                _check_utf8(line, lineno)
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -361,6 +357,14 @@ class TextReader:
                 ts, xs, ys, ps = [], [], [], []
         if ts:
             yield EventStream(geometry, xs, ys, ts, ps)
+
+
+def _check_utf8(line: str, lineno: int) -> None:
+    """Refuse a non-ASCII line holding bytes that were not UTF-8, read as lone surrogates."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise FormatError(f"line {lineno}: not valid UTF-8") from None
 
 
 def write_text(stream: EventStream) -> str:

@@ -5,7 +5,8 @@ events can be filtered, windowed and rasterized with numpy at full speed.
 Timestamps are microseconds in int64; polarity is +1/-1 in int8.
 
 Streams are treated as immutable after construction; no operation here or in
-the rest of the package mutates its inputs.
+the rest of the package mutates its inputs. :func:`truncate_blocks` cuts a
+stream read in blocks, in two passes; :func:`truncate_by_ratio` is its join.
 """
 
 from __future__ import annotations
@@ -178,29 +179,37 @@ def truncate_by_ratio(stream: EventStream, ratio: float) -> EventStream:
     """Keep the prefix of events observed within the first `ratio` of the recording.
 
     The cutoff is t_first + ratio * (t_last - t_first), inclusive, so ratio=1
-    returns the identical stream. Geometry is unchanged.
+    keeps every event. Geometry is unchanged.
     """
-    if len(stream) == 0:
+    return EventStream.concat(stream.geometry, list(truncate_blocks([stream], ratio)))
+
+
+def truncate_blocks(blocks: Iterable[EventStream], ratio: float) -> Iterator[EventStream]:
+    """Truncate a stream given as re-iterable blocks, as :func:`truncate_by_ratio` does.
+
+    The first pass, made before this returns, finds t_first and t_last and
+    raises every error: a one-shot iterator's TypeError, the blocks' own, an
+    empty stream's, then a bad ratio's. The returned iterator makes the
+    second pass, which stops after the first block that loses an event.
+    """
+    if iter(blocks) is blocks:
+        raise TypeError("truncate_blocks needs re-iterable blocks, not a one-shot iterator")
+    t_first = t_last = None
+    for block in filter(len, blocks):
+        t_first = block.t_first if t_first is None else t_first
+        t_last = block.t_last
+    if t_first is None:
         raise ValueError("cannot truncate empty stream")
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    return truncate_block(stream, ratio, stream.t_first, stream.t_last)
-
-
-def truncate_block(block: EventStream, ratio: float, t_first: int, t_last: int) -> EventStream:
-    """Truncate one block of a stream whose first and last timestamps are t_first, t_last.
-
-    Keeps the block's events within the first `ratio` of [t_first, t_last],
-    as :func:`truncate_by_ratio` does for the whole stream; the blocks after
-    the first one that loses an event lose all of theirs. A block that
-    keeps every event is returned as is.
-    """
-    # Compare offsets (t - t_first) against ratio*span to keep the float
-    # comparison exact at ratio=1 for any realistic span.
+    # Offsets t - t_first against ratio*span keep the comparison exact at ratio=1.
     cutoff = ratio * float(t_last - t_first)
-    n_keep = int(np.searchsorted(block.t - t_first, cutoff, side="right"))
-    if n_keep == len(block):
-        return block
-    return EventStream(
-        block.geometry, block.x[:n_keep], block.y[:n_keep], block.t[:n_keep], block.p[:n_keep]
-    )
+
+    def heads() -> Iterator[EventStream]:
+        for b in blocks:
+            n = int(np.searchsorted(b.t - t_first, cutoff, side="right"))
+            yield EventStream(b.geometry, b.x[:n], b.y[:n], b.t[:n], b.p[:n])
+            if n < len(b):
+                return
+
+    return heads()

@@ -29,13 +29,13 @@ from evframes.encoders import (
     KIND_TIMESTAMP,
     POLARITY_MERGED,
     EncodedFrame,
+    encode_stream,
     encode_window,
     event_count_field,
     timestamp_field,
 )
 from evframes.formats import read_frame_tensor, write_frame_tensor
 from evframes.ingest import DVS128_LAYOUT, parse_aedat2_stats, parse_text, write_text
-from evframes.pipeline import encode_stream
 from evframes.scoring import ScoreVector, temporal_average_pool
 from evframes.simulator import SimConfig, simulate
 from evframes.stream import DVS128_GEOMETRY, Event, EventStream, SensorGeometry
@@ -432,7 +432,8 @@ def test_criterion_10_throughput():
         (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1),
     )
     config = WindowConfig(80_000)
-    # exclude one-time jit compilation from the measured window
+    # a small run first keeps one-time first-call costs (lazy imports, first
+    # allocations) out of the measured window
     encode_stream(_head(stream, 1000), config)
     start = time.perf_counter()
     frames = encode_stream(stream, config, KIND_TIMESTAMP, POLARITY_MERGED)

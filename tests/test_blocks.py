@@ -18,6 +18,7 @@ from evframes.encoders import (
     KIND_TIMESTAMP,
     POLARITY_IGNORE,
     POLARITY_MERGED,
+    encode_stream,
     encode_window,
 )
 from evframes.formats import write_frame_tensor, write_frame_tensor_to
@@ -28,7 +29,6 @@ from evframes.ingest import (
     FormatError,
     parse_aedat2_stats,
 )
-from evframes.pipeline import encode_stream
 from evframes.stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry
 from evframes.windowing import WindowConfig, segment, segment_blocks
 

@@ -353,6 +353,21 @@ class TestAggregate:
         assert run("aggregate", scores) == 1
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [b"# caf\xe9", b"1,0.5\xe9,0.5"], ids=["comment", "data"])
+    def test_bad_byte_names_its_line(self, tmp_path, capsys, line):
+        scores = tmp_path / "scores.txt"
+        scores.write_bytes(b"# k=2\n0,0.5,0.5\n" + line + b"\n")
+        assert run("aggregate", scores) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "evframes: line 3: not valid UTF-8\n")
+
+    def test_utf8_text_and_crlf_line_ends(self, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        text = "# k=2 classes=caf\u00e9,th\u00e9\r\n# n\u00e9\r\n0,0.2,0.8\r\n"
+        scores.write_bytes(text.encode())
+        assert run("aggregate", scores) == 0
+        assert capsys.readouterr().out.endswith("label: 1\nlabel_name: th\u00e9\n")
+
 
 class TestSimulate:
     def test_constant_scene_gives_empty_stream(self, tmp_path):
@@ -505,6 +520,29 @@ class TestTruncate:
         assert run("truncate", src, tmp_path / "out.txt", "--geometry", "8x8", "--ratio", 1) == 1
         assert capsys.readouterr().err == f"evframes: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "cannot truncate empty stream"),
+            ("0 1 1 1\n5 9 1 1\n", "line 2: coordinate (9, 1) outside 8x8 geometry"),
+        ],
+        ids=["empty", "bad-coordinate"],
+    )
+    def test_input_error_comes_before_a_missing_output_directory(
+        self, tmp_path, capsys, text, message
+    ):
+        # The whole input is read and checked before the output is opened.
+        src = tmp_path / "ev.txt"
+        src.write_text(text)
+        out = tmp_path / "missing" / "out.txt"
+        assert run("truncate", src, out, "--geometry", "8x8", "--ratio", 1) == 1
+        assert capsys.readouterr().err == f"evframes: {message}\n"
+        src.write_text("0 1 1 1\n")
+        assert run("truncate", src, out, "--geometry", "8x8", "--ratio", 1) == 1
+        missing = f"evframes: [Errno 2] No such file or directory: '{out}'\n"
+        assert capsys.readouterr().err == missing
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.txt"]
 
     @pytest.mark.parametrize("ratio", ["1.5", "0", "-0.1"])
     def test_out_of_range_ratio_is_usage_error(self, tmp_path, ratio):

@@ -315,6 +315,21 @@ class TestWriterEquivalence:
         with pytest.raises(ValueError, match=message):
             write_frame_tensor_to(io.BytesIO(), make_frames(3))
 
+    @pytest.mark.parametrize(
+        "start,end",
+        [(2**63, 2**63 + 1), (-(2**63) - 1, 0), (0.0, 1)],
+        ids=["above", "below", "float"],
+    )
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_both_writers_name_a_frame_whose_bounds_are_not_int64(self, start, end, index):
+        frames = make_frames(2)
+        frames[index] = EncodedFrame(frames[index].pixels, None, None, start, end, False)
+        message = rf"^frame {index}: window bounds are not int64 values$"
+        with pytest.raises(ValueError, match=message):
+            write_frame_tensor(frames)
+        with pytest.raises(ValueError, match=message):
+            write_frame_tensor_to(io.BytesIO(), frames)
+
     def test_both_writers_check_shapes_in_frame_order(self, monkeypatch):
         monkeypatch.setattr(formats, "MAX_FRAME_COUNT", 2)
         frames = make_frames(1) + make_frames(2, shape=(4, 3, 3))
@@ -427,6 +442,14 @@ class TestScoreFile:
     def test_bad_number(self):
         with pytest.raises(FormatError, match="line 2"):
             parse_scores("# k=1\n0,abc\n")
+
+    @pytest.mark.parametrize("line", ["# caf\udce9", "1,0.5\udce9,0.5"], ids=["comment", "data"])
+    def test_byte_that_was_not_utf8_names_its_line(self, line):
+        # A file read with errors="surrogateescape" holds such a byte as a lone surrogate.
+        with pytest.raises(FormatError, match=r"^line 3: not valid UTF-8$"):
+            parse_scores("# k=2\n0,0.5,0.5\n" + line + "\n")
+        vectors, _ = parse_scores("# k=2\n0,0.5,0.5\n# caf\u00e9\n")
+        assert len(vectors) == 1
 
     def test_class_count_mismatch_in_header(self):
         with pytest.raises(FormatError, match="class names"):

@@ -9,12 +9,12 @@ from evframes.encoders import (
     KIND_TIMESTAMP,
     POLARITY_IGNORE,
     POLARITY_MERGED,
+    encode_stream,
     encode_window,
     event_count_field,
     quantize,
     timestamp_field,
 )
-from evframes.pipeline import encode_stream
 from evframes.simulator import SimConfig, simulate, simulate_intervals
 from evframes.stream import EventStream, SensorGeometry
 from evframes.windowing import EventWindow, WindowConfig, segment

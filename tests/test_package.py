@@ -1,8 +1,14 @@
-"""The package's export list."""
+"""The package's export list, and the README's examples run against it."""
 
+import re
 import types
+from pathlib import Path
+
+import numpy as np
 
 import evframes
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_exactly_the_public_names():
@@ -13,3 +19,27 @@ def test_all_names_exactly_the_public_names():
     }
     # Equal as sorted lists: no name is missing, left over or listed twice.
     assert sorted(evframes.__all__) == sorted(public | {"__version__"})
+
+
+def test_block_forms_beside_whole_stream_functions():
+    assert {"segment_blocks", "truncate_blocks", "AedatReader", "TextReader"} <= set(
+        evframes.__all__
+    )
+    # truncate_blocks holds the per-block cut; encode_stream lives with the encoders.
+    assert "truncate_block" not in evframes.__all__
+    assert evframes.encode_stream is evframes.encoders.encode_stream
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    examples = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert examples
+    # A DVS-128 recording of 400 events, one per millisecond: five 80 ms windows.
+    n = 400
+    rng = np.random.default_rng(5)
+    addr = (rng.integers(0, 128, n) << 8) | (rng.integers(0, 128, n) << 1) | (np.arange(n) % 2)
+    records = np.stack([addr, np.arange(n) * 1000], axis=1).astype(">u4")
+    (tmp_path / "rec.aedat").write_bytes(b"#!AER-DAT2.0\r\n" + records.tobytes())
+    monkeypatch.chdir(tmp_path)
+    namespace = {"classifier": lambda chunk: [0.25, 0.75]}
+    for i, code in enumerate(examples):
+        exec(compile(code, f"README.md python example {i + 1}", "exec"), namespace)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evframes.ingest import FormatError
 from evframes.stream import (
     DVS128_GEOMETRY,
     Event,
     EventStream,
     SensorGeometry,
+    truncate_blocks,
     truncate_by_ratio,
     validate_stream,
 )
@@ -123,3 +127,94 @@ class TestTruncateByRatio:
         g = SensorGeometry(240, 180)
         s = make_stream([(0, 0, 0, 1), (1, 1, 100, -1)], geometry=g)
         assert truncate_by_ratio(s, 0.5).geometry == g
+
+
+class CountingBlocks:
+    """Re-iterable blocks that count how many blocks each pass reads."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.reads = []
+
+    def __iter__(self):
+        self.reads.append(0)
+        for block in self.blocks:
+            self.reads[-1] += 1
+            yield block
+
+
+def split(stream, bounds):
+    """The stream's blocks between consecutive event indices in bounds."""
+    return [
+        EventStream(stream.geometry, stream.x[a:b], stream.y[a:b], stream.t[a:b], stream.p[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+@st.composite
+def blocked_streams(draw):
+    """(stream, its blocks, ratio): blocks may be empty, and the cutoff may fall on a block edge."""
+    t = sorted(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40)))
+    n = len(t)
+    x, p = [i % 128 for i in range(n)], [(-1) ** i for i in range(n)]
+    stream = EventStream(DVS128_GEOMETRY, x, [3] * n, t, p)
+    cuts = draw(st.lists(st.integers(0, n), max_size=6))  # repeated cuts make empty blocks
+    bounds = [0, *sorted(cuts), n]
+    span = t[-1] - t[0]
+    edge = t[draw(st.sampled_from(bounds[1:])) - 1] - t[0]  # the last event of some block
+    ratio = draw(
+        st.one_of(
+            st.just(1.0),
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.just(edge / span if edge else 1.0),
+        )
+    )
+    return stream, split(stream, bounds), ratio
+
+
+class TestTruncateBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(blocked_streams())
+    def test_join_equals_whole_stream_truncation(self, case):
+        stream, blocks, ratio = case
+        counting = CountingBlocks(blocks)
+        heads = list(truncate_blocks(counting, ratio))
+        joined = EventStream.concat(stream.geometry, heads)
+        assert joined == truncate_by_ratio(stream, ratio)
+        cutoff = stream.t_first + ratio * float(stream.t_last - stream.t_first)
+        assert list(joined.t) == [t for t in stream.t.tolist() if t <= cutoff]
+        # The second pass stops at the first block that loses an event.
+        n_keep = len(joined)
+        ends = np.cumsum([len(b) for b in blocks])
+        losers = [i for i, end in enumerate(ends) if end > n_keep]
+        expected = losers[0] + 1 if losers else len(blocks)
+        assert counting.reads == [len(blocks), expected]
+        assert len(heads) == expected
+
+    def test_cut_at_a_block_edge_reads_one_block_past_it(self):
+        s = make_stream([(0, 0, t, 1) for t in (0, 50, 60, 100, 100)])
+        counting = CountingBlocks(split(s, [0, 2, 2, 4, 5]))
+        heads = list(truncate_blocks(counting, 0.5))
+        assert [list(h.t) for h in heads] == [[0, 50], [], []]
+        assert counting.reads == [4, 3]
+
+    def test_one_shot_iterator_refused(self):
+        blocks = [make_stream([(0, 0, 0, 1)])]
+        with pytest.raises(TypeError, match="re-iterable"):
+            truncate_blocks(iter(blocks), 1.0)
+        with pytest.raises(TypeError, match="re-iterable"):
+            truncate_blocks((b for b in blocks), 1.0)
+
+    def test_errors_come_from_the_call_before_any_block_is_yielded(self):
+        class Failing:
+            def __iter__(self):
+                yield make_stream([(0, 0, 0, 1)])
+                raise FormatError("line 9: bad")
+
+        with pytest.raises(FormatError, match="line 9"):
+            truncate_blocks(Failing(), 0.5)
+        empty = [EventStream.empty(DVS128_GEOMETRY)] * 3
+        with pytest.raises(ValueError, match="cannot truncate empty stream"):
+            truncate_blocks(empty, 0.5)
+        with pytest.raises(ValueError, match=r"ratio must be in \(0, 1\], got 1.5"):
+            truncate_blocks([make_stream([(0, 0, 0, 1)])], 1.5)

@@ -23,6 +23,7 @@ from .encoders import (
     POLARITY_IGNORE,
     POLARITY_MERGED,
     EncodedFrame,
+    encode_blocks,
     encode_stream,
     encode_window,
     event_count_field,
@@ -105,6 +106,7 @@ __all__ = [
     "Violation",
     "WindowConfig",
     "apply_empty_policy",
+    "encode_blocks",
     "encode_stream",
     "encode_window",
     "event_count_field",

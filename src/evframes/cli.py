@@ -23,14 +23,14 @@ from .encoders import (
     KIND_TIMESTAMP,
     POLARITY_IGNORE,
     POLARITY_MERGED,
-    encode_window,
+    encode_blocks,
 )
 from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pgm, write_ppm
-from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, TextReader, write_text
+from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, TextReader, text_slices
 from .scoring import temporal_average_pool
 from .simulator import SimConfig, check_frame_times, simulate_intervals
 from .stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_blocks
-from .windowing import DEFAULT_WINDOW_US, WindowConfig, segment_blocks
+from .windowing import DEFAULT_WINDOW_US, WindowConfig
 
 _LAYOUTS = {
     "dvs128": (DVS128_LAYOUT, DVS128_GEOMETRY),
@@ -152,8 +152,8 @@ def _add_stream_input(parser: argparse.ArgumentParser) -> None:
 def cmd_encode(args) -> int:
     output = Path(args.output)
     with _open_blocks(args) as reader, _replace_on_success(output) as f:
-        windows = segment_blocks(reader, WindowConfig(args.window_us))
-        frames = (encode_window(w, _KINDS[args.kind], args.polarity) for w in windows)
+        config = WindowConfig(args.window_us)
+        frames = encode_blocks(reader, config, _KINDS[args.kind], args.polarity)
         shape = (reader.geometry.height, reader.geometry.width, _CHANNELS[args.polarity])
         write_frame_tensor_to(f, frames, shape)
     if args.emit_images is not None:
@@ -204,7 +204,7 @@ def cmd_simulate(args) -> int:
         config = SimConfig(args.threshold, args.refractory_us)
         with _replace_on_success(Path(args.output)) as out:
             for block in simulate_intervals(log_frames, times, config):
-                out.write(write_text(block).encode("ascii"))
+                out.writelines(text.encode("ascii") for text in text_slices(block))
     return 0
 
 
@@ -212,7 +212,7 @@ def cmd_truncate(args) -> int:
     with _open_blocks(args) as reader:
         heads = truncate_blocks(reader, args.ratio)  # input errors come before the output opens
         with _replace_on_success(Path(args.output)) as f:
-            f.writelines(write_text(head).encode("ascii") for head in heads)
+            f.writelines(text.encode("ascii") for head in heads for text in text_slices(head))
     return 0
 
 

@@ -16,22 +16,27 @@ events in channel 0, negative in channel 1, channel 2 zero, of a 3-channel
 v to round(255 * v / v_max) with round-half-up; v_max is fixed at 1.0 for
 the timestamp kind and is the joint maximum over both polarity fields for
 the count kind, so each frame is self-normalized. :func:`encode_stream`
-encodes every window of a stream in memory, one frame per window.
+encodes every window of a stream in memory, one frame per window;
+:func:`encode_blocks` encodes a stream read in blocks, lazily, with the
+same frames.
 
 Frames and fields come from one scatter: every event of the window gets its
-raster cell and a value. A count cell is assigned, since every event of a
-cell carries the same count; a timestamp cell keeps the largest value it
-receives.
+raster cell and a value, each built in one buffer. A count cell is
+assigned, since every event of a cell carries the same count; a timestamp
+cell keeps the largest value it receives. ``encode_blocks`` folds a window
+with more events than its frame has cells into one int64 per cell instead,
+and quantizes only the active cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .stream import EventStream
-from .windowing import EventWindow, WindowConfig, segment
+from .stream import EventStream, SensorGeometry
+from .windowing import EventWindow, WindowConfig, _close, _pieces, segment
 
 KIND_TIMESTAMP = "timestamp"
 KIND_EVENT_COUNT = "event_count"
@@ -90,23 +95,43 @@ class EncodedFrame:
 def _scatter(window: EventWindow, kind: str, channels: int):
     """Each event's cell in the row-major (H, W, channels) raster, its value, and v_max.
 
-    With more than one channel, negative events go to channel 1 and positive
-    ones to channel 0. A timestamp value is the event's normalized time (1.0
-    when all events share one timestamp), so the per-cell maximum is the
-    pixel's latest event; a count value is the event's own (int64) cell
-    count, the same for every event of a cell. v_max is 1.0 for timestamps
-    and the largest count (the joint maximum over channels) for counts.
+    A timestamp value is the event's normalized time (1.0 when all events
+    share one timestamp), so the per-cell maximum is the pixel's latest
+    event; a count value is the event's own (int64) cell count, the same for
+    every event of a cell. v_max is 1.0 for timestamps and the largest count
+    (the joint maximum over channels) for counts. Each value array is new,
+    so callers may overwrite it.
     """
-    cell = window.y.astype(np.int64) * window.geometry.width + window.x
-    if channels > 1:
-        cell = cell * channels + (window.p < 0)
+    cell = _cells(window.geometry, window.x, window.y, window.p, channels)
     if kind == KIND_EVENT_COUNT:
         value = np.bincount(cell)[cell]
         return cell, value, float(value.max())
-    t_begin, t_end = window.t_begin, window.t_end
+    return cell, _times(window.t, window.t_begin, window.t_end), 1.0
+
+
+def _cells(geometry: SensorGeometry, x, y, p, channels: int) -> np.ndarray:
+    """Each event's cell in the row-major (H, W, channels) raster, built in one int64 buffer.
+
+    With more than one channel, negative events go to channel 1 and
+    positive ones to channel 0.
+    """
+    cell = y.astype(np.int64)
+    cell *= geometry.width
+    cell += x
+    if channels > 1:
+        cell *= channels
+        cell += p < 0
+    return cell
+
+
+def _times(t: np.ndarray, t_begin: int, t_end: int) -> np.ndarray:
+    """(t - t_begin) / (t_end - t_begin) as a new float64 array; 1.0 when t_end == t_begin."""
     if t_end == t_begin:
-        return cell, np.ones(len(cell)), 1.0
-    return cell, (window.t - t_begin) / (t_end - t_begin), 1.0
+        return np.ones(len(t))
+    value = np.subtract(t, t_begin)
+    # The int64 differences are divided in their own buffer, element by
+    # element, into the float64 values: the same 'll->d' loop as `/`.
+    return np.true_divide(value, t_end - t_begin, out=value.view(np.float64))
 
 
 def _put(flat: np.ndarray, cell: np.ndarray, value: np.ndarray, kind: str) -> None:
@@ -151,11 +176,16 @@ def quantize(field: np.ndarray, v_max: float) -> np.ndarray:
     """
     if v_max <= 0.0:
         return np.zeros(field.shape, dtype=np.uint8)
-    scaled = np.multiply(field, 255.0)
+    return _quantize_into(np.array(field, dtype=np.float64), v_max)
+
+
+def _quantize_into(value: np.ndarray, v_max: float) -> np.ndarray:
+    """quantize for v_max > 0, computed in the float64 array ``value``, which it overwrites."""
+    value *= 255.0
     if v_max != 1.0:
-        scaled /= v_max
-    scaled += 0.5
-    return np.floor(scaled).astype(np.uint8)
+        value /= v_max
+    value += 0.5
+    return np.floor(value, out=value).astype(np.uint8)
 
 
 _CHANNELS = {POLARITY_MERGED: 3, POLARITY_IGNORE: 1}
@@ -168,18 +198,23 @@ def encode_window(window: EventWindow, kind: str, polarity_mode: str) -> Encoded
     fields. That equals quantizing the field, because quantize is monotone
     and every value is >= 0, so untouched cells stay at the field's 0.
     """
-    if polarity_mode not in _CHANNELS:
-        raise ValueError(f"unknown polarity mode {polarity_mode!r}")
-    if kind not in KINDS:
-        raise ValueError(f"unknown frame kind {kind!r}, expected one of {KINDS}")
+    _check_modes(kind, polarity_mode)
     g = window.geometry
     pixels = np.zeros((g.height, g.width, _CHANNELS[polarity_mode]), dtype=np.uint8)
     if not window.empty:
         cell, value, v_max = _scatter(window, kind, pixels.shape[2])
-        _put(pixels.reshape(-1), cell, quantize(value, v_max), kind)
+        value = _quantize_into(value.astype(np.float64, copy=False), v_max)
+        _put(pixels.reshape(-1), cell, value, kind)
     return EncodedFrame(
         pixels, kind, polarity_mode, window.window_start, window.window_end, window.empty
     )
+
+
+def _check_modes(kind: str, polarity_mode: str) -> None:
+    if polarity_mode not in _CHANNELS:
+        raise ValueError(f"unknown polarity mode {polarity_mode!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown frame kind {kind!r}, expected one of {KINDS}")
 
 
 def encode_stream(
@@ -190,3 +225,96 @@ def encode_stream(
 ) -> list[EncodedFrame]:
     """Segment a stream and encode every window; one frame per window."""
     return [encode_window(w, kind, polarity_mode) for w in segment(stream, config)]
+
+
+def encode_blocks(
+    blocks: Iterable[EventStream],
+    config: WindowConfig = WindowConfig(),
+    kind: str = "timestamp",
+    polarity_mode: str = POLARITY_MERGED,
+) -> Iterator[EncodedFrame]:
+    """Lazily encode a stream that arrives as blocks; the frames equal :func:`encode_stream`'s.
+
+    Windows are tiled as :func:`segment_blocks` tiles them. A window is
+    kept as block pieces until it holds more events than its frame has
+    cells; then its events are folded into one int64 per cell, the latest
+    tick (timestamp) or the count (count), and only the active cells are
+    quantized when it closes. Memory is thus bounded by a block or two and
+    one int64 per frame cell, whatever the window length. The fold gives
+    the same pixels: quantize of the normalized time is non-decreasing, so
+    a cell's largest quantized value is that of its latest tick, and every
+    event of a cell carries the cell's count.
+    """
+    _check_modes(kind, polarity_mode)
+    return _encode_blocks(blocks, config.window_length_us, kind, polarity_mode)
+
+
+def _encode_blocks(blocks, T: int, kind: str, polarity_mode: str) -> Iterator[EncodedFrame]:
+    channels = _CHANNELS[polarity_mode]
+    pieces, buffered = [], 0
+    fold, folding = None, False
+    for geometry, start, piece in _pieces(blocks, T):
+        if folding:
+            fold.add(*piece)
+        else:
+            pieces.append(piece)
+            buffered += len(piece[2])
+            if buffered > geometry.height * geometry.width * channels:
+                # One fold per run: fresh pages would fault in again per window.
+                fold = fold or _Fold(geometry, kind, channels)
+                for columns in pieces:
+                    fold.add(*columns)
+                pieces, folding = [], True
+        if start is not None:
+            if folding:
+                yield EncodedFrame(fold.pop(), kind, polarity_mode, start, start + T, False)
+            else:
+                yield encode_window(_close(geometry, pieces, start, T), kind, polarity_mode)
+            pieces, buffered, folding = [], 0, False
+
+
+_NO_TICK = np.iinfo(np.int64).min
+
+
+class _Fold:
+    """A window's events folded into one int64 per frame cell (see :func:`encode_blocks`).
+
+    A cell holds its latest tick (``_NO_TICK`` for none) for timestamps and
+    its event count for counts.
+    """
+
+    def __init__(self, geometry: SensorGeometry, kind: str, channels: int):
+        self.geometry, self.kind, self.channels = geometry, kind, channels
+        cells = geometry.height * geometry.width * channels
+        self.acc = np.full(cells, _NO_TICK if kind == KIND_TIMESTAMP else 0, dtype=np.int64)
+        self.t_begin = self.t_end = None
+
+    def add(self, x, y, t, p) -> None:
+        if not len(t):
+            return
+        cell = _cells(self.geometry, x, y, p, self.channels)
+        if self.kind == KIND_TIMESTAMP:
+            # numpy does not order repeated-index assignment; the maximum is the latest.
+            np.maximum.at(self.acc, cell, t)
+        else:
+            np.add.at(self.acc, cell, 1)
+        if self.t_begin is None:
+            self.t_begin = int(t[0])
+        self.t_end = int(t[-1])
+
+    def pop(self) -> np.ndarray:
+        """The window's (H, W, channels) pixels; the fold is then reset for the next window."""
+        g, acc = self.geometry, self.acc
+        pixels = np.zeros((g.height, g.width, self.channels), dtype=np.uint8)
+        if self.kind == KIND_TIMESTAMP:
+            active = np.flatnonzero(acc != _NO_TICK)
+            value, v_max = _times(acc[active], self.t_begin, self.t_end), 1.0
+            acc.fill(_NO_TICK)
+        else:
+            active = np.flatnonzero(acc)
+            value = acc[active].astype(np.float64)
+            v_max = float(value.max())
+            acc.fill(0)
+        pixels.reshape(-1)[active] = _quantize_into(value, v_max)
+        self.t_begin = self.t_end = None
+        return pixels

@@ -13,7 +13,9 @@ timestamp dropping by more than 2^31) and corrected by adding 2^32 ticks per
 wrap, so output timestamps are monotone int64 microseconds.
 
 AEDAT input is read in blocks of ``_BLOCK_RECORDS`` records by
-:class:`AedatReader`, so memory does not grow with the file. The previous
+:class:`AedatReader`, so memory does not grow with the file. Each block is
+decoded in a call of its own, with one buffer per column; the input bytes
+go once the address words are copied out. The previous
 record's tick and the wrap count carry across blocks, and error positions
 (record index, byte offset) count from the start of the file. The checks and
 their order are those of a whole-file pass: header, then trailing partial
@@ -28,6 +30,8 @@ read as -1.
 Text is read in blocks of ``_BLOCK_RECORDS`` events by :class:`TextReader`,
 in bounded memory; the previous timestamp and the line number carry across
 blocks. :func:`parse_text` reads a string through the same reader.
+:func:`write_text` builds its text from :func:`text_slices`, pieces of
+``_TEXT_SLICE`` lines, which a writer can also write one at a time.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ _WRAP_JUMP = 1 << 31
 _CONTROL = re.compile(rb"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 # Records AedatReader decodes at a time (512 KiB of input), and events
-# TextReader parses at a time. Larger blocks cost more memory and ran no faster.
+# TextReader parses at a time. Larger blocks cost more memory and ran no
+# faster; smaller ones cut the encode peak by 1-3 MB but ran slower, as more
+# windows were joined across blocks (ROADMAP, "Decided against").
 _BLOCK_RECORDS = 1 << 16
 
 
@@ -171,79 +177,95 @@ class AedatReader:
         )
 
     def __iter__(self) -> Iterator[EventStream]:
-        layout, g = self.layout, self.geometry
         self._f.seek(self._body_start)
         self.events = self.skipped_non_dvs = self.timestamp_wraps = 0
         # Carried across blocks: the previous record's raw and unwrapped tick,
         # and the first bad coordinate. A bad coordinate is reported only at
         # the end, because a backward tick anywhere in the file takes
         # precedence; the blocks after it are still read for their ticks.
-        last_raw = last_tick = None
-        bad_coordinate = None
-        for base in range(0, self.records, _BLOCK_RECORDS):
-            n = min(_BLOCK_RECORDS, self.records - base)
-            buf = self._f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise FormatError(f"record {base + len(buf) // 8}: file ended while reading")
-            words = np.frombuffer(buf, dtype=">u4").reshape(n, 2)
+        self._last_raw = self._last_tick = self._bad_coordinate = None
+        # Each block is decoded in a call of its own and handed on without a
+        # name, so none of its arrays outlives it while the next is decoded.
+        blocks = (self._decode(base) for base in range(0, self.records, _BLOCK_RECORDS))
+        yield from filter(None, blocks)
+        if self._bad_coordinate is not None:
+            raise FormatError(self._bad_coordinate)
 
-            # The tick counter is global to the file: wraps and backward steps
-            # are found over all records, before non-DVS records are dropped.
-            # Both are decreasing ticks, which are rare, so they are found with
-            # one compare and told apart afterwards.
-            raw = words[:, 1].astype(np.int64)
-            down = np.flatnonzero(raw[1:] < raw[:-1]) + 1
-            before = raw[down - 1]
-            if last_raw is not None and raw[0] < last_raw:
-                down, before = np.r_[0, down], np.r_[last_raw, before]
-            wrapped = raw[down] - before < -_WRAP_JUMP
-            wraps = down[wrapped]
-            last_raw = int(raw[-1])
-            ticks = raw  # a copy of the file's words, offset in place
-            if self.timestamp_wraps:
-                ticks += self.timestamp_wraps * _WRAP_STEP
-            if wraps.size:
-                ticks += np.cumsum(np.bincount(wraps, minlength=n)) * _WRAP_STEP
-                self.timestamp_wraps += wraps.size
-            backward = down[~wrapped]
-            if backward.size:
-                i = int(backward[0])
-                raise FormatError(
-                    f"record {base + i}: timestamp moves backward "
-                    f"({ticks[i]} after {ticks[i - 1] if i else last_tick}) "
-                    "and is not a 32-bit wrap"
-                )
-            last_tick = ticks[-1]
-            if bad_coordinate is not None:
-                continue
+    def _decode(self, base: int) -> EventStream | None:
+        """The DVS events of the block of records from index base on; None if it holds none."""
+        layout, g = self.layout, self.geometry
+        n = min(_BLOCK_RECORDS, self.records - base)
+        buf = self._f.read(8 * n)
+        if len(buf) != 8 * n:
+            raise FormatError(f"record {base + len(buf) // 8}: file ended while reading")
+        words = np.frombuffer(buf, dtype=">u4").reshape(n, 2)
 
-            addr = words[:, 0].astype(np.uint32)
-            is_dvs = None
-            if layout.type_bit is not None:
-                is_dvs = (addr >> layout.type_bit) & 1 == 0
-                n_dvs = int(np.count_nonzero(is_dvs))
-                self.skipped_non_dvs += n - n_dvs
-                if n_dvs < n:
-                    addr, ticks = addr[is_dvs], ticks[is_dvs]
-            x = (addr >> layout.x_shift) & layout.x_mask
-            y = (addr >> layout.y_shift) & layout.y_mask
-            bad = np.flatnonzero((x >= g.width) | (y >= g.height))
-            if bad.size:
-                j = int(bad[0])
-                record = base + (j if is_dvs is None else int(np.flatnonzero(is_dvs)[j]))
-                bad_coordinate = (
-                    f"record {record}: coordinate ({x[j]}, {y[j]}) outside "
-                    f"{g.width}x{g.height} geometry"
-                )
-                continue
-            if not len(addr):
-                continue
-            negative = ((addr >> layout.polarity_shift) & 1) != layout.polarity_on_value
-            p = 1 - 2 * negative.view(np.int8)
-            self.events += len(ticks)
-            yield EventStream(g, x.astype(np.int32), y.astype(np.int32), ticks, p)
-        if bad_coordinate is not None:
-            raise FormatError(bad_coordinate)
+        # The tick counter is global to the file: wraps and backward steps
+        # are found over all records, before non-DVS records are dropped.
+        # Both are decreasing ticks, which are rare, so they are found with
+        # one compare and told apart afterwards.
+        raw = words[:, 1].astype(np.int64)
+        down = np.flatnonzero(raw[1:] < raw[:-1]) + 1
+        before = raw[down - 1]
+        if self._last_raw is not None and raw[0] < self._last_raw:
+            down, before = np.r_[0, down], np.r_[self._last_raw, before]
+        wrapped = raw[down] - before < -_WRAP_JUMP
+        wraps = down[wrapped]
+        self._last_raw = int(raw[-1])
+        ticks = raw  # a copy of the file's words, offset in place
+        if self.timestamp_wraps:
+            ticks += self.timestamp_wraps * _WRAP_STEP
+        if wraps.size:
+            ticks += np.cumsum(np.bincount(wraps, minlength=n)) * _WRAP_STEP
+            self.timestamp_wraps += wraps.size
+        backward = down[~wrapped]
+        if backward.size:
+            i = int(backward[0])
+            raise FormatError(
+                f"record {base + i}: timestamp moves backward "
+                f"({ticks[i]} after {ticks[i - 1] if i else self._last_tick}) "
+                "and is not a 32-bit wrap"
+            )
+        self._last_tick = ticks[-1]
+        if self._bad_coordinate is not None:
+            return None
+
+        # Each column below is built in one buffer of its own; the input
+        # bytes go once the address words are copied out.
+        addr = words[:, 0].astype(np.uint32)
+        del buf, words
+        is_dvs = None
+        if layout.type_bit is not None:
+            is_dvs = (addr >> layout.type_bit) & 1 == 0
+            n_dvs = int(np.count_nonzero(is_dvs))
+            self.skipped_non_dvs += n - n_dvs
+            if n_dvs < n:
+                addr, ticks = addr[is_dvs], ticks[is_dvs]
+        x = addr >> layout.x_shift
+        x &= layout.x_mask
+        y = addr >> layout.y_shift
+        y &= layout.y_mask
+        bad = np.flatnonzero((x >= g.width) | (y >= g.height))
+        if bad.size:
+            j = int(bad[0])
+            record = base + (j if is_dvs is None else int(np.flatnonzero(is_dvs)[j]))
+            self._bad_coordinate = (
+                f"record {record}: coordinate ({x[j]}, {y[j]}) outside "
+                f"{g.width}x{g.height} geometry"
+            )
+            return None
+        if not len(addr):
+            return None
+        addr >>= layout.polarity_shift
+        addr &= 1
+        p = addr.astype(np.int8)
+        p *= 2
+        p -= 1  # +1 where the raw polarity bit is 1, -1 where it is 0
+        if not layout.polarity_on_value:
+            np.negative(p, out=p)
+        self.events += len(ticks)
+        # The polarity bit leaves x and y at most 31 bits, so int32 views are exact.
+        return EventStream(g, x.view(np.int32), y.view(np.int32), ticks, p)
 
 
 def _read_header(f: BinaryIO) -> int:
@@ -367,11 +389,23 @@ def _check_utf8(line: str, lineno: int) -> None:
         raise FormatError(f"line {lineno}: not valid UTF-8") from None
 
 
+# Events write_text formats at a time: its text is built slice by slice, so
+# the Python ints of one formatting call stay small.
+_TEXT_SLICE = 4096
+
+
 def write_text(stream: EventStream) -> str:
     """Serialize a stream as ``t x y p`` lines; parse_text inverts it exactly."""
-    cols = np.empty((len(stream), 4), dtype=np.int64)
-    cols[:, 0] = stream.t
-    cols[:, 1] = stream.x
-    cols[:, 2] = stream.y
-    cols[:, 3] = stream.p
-    return ("%d %d %d %d\n" * len(stream)) % tuple(cols.ravel().tolist())
+    return "".join(text_slices(stream))
+
+
+def text_slices(stream: EventStream) -> Iterator[str]:
+    """write_text's text in consecutive pieces of up to ``_TEXT_SLICE`` lines."""
+    for lo in range(0, len(stream), _TEXT_SLICE):
+        hi = min(lo + _TEXT_SLICE, len(stream))
+        cols = np.empty((hi - lo, 4), dtype=np.int64)
+        cols[:, 0] = stream.t[lo:hi]
+        cols[:, 1] = stream.x[lo:hi]
+        cols[:, 2] = stream.y[lo:hi]
+        cols[:, 3] = stream.p[lo:hi]
+        yield ("%d %d %d %d\n" * (hi - lo)) % tuple(cols.ravel().tolist())

@@ -4,6 +4,10 @@ Windows are half-open [start, start + T) and anchored at the first event's
 timestamp, so output does not depend on the device clock origin. Interior
 windows that happen to contain no events are still emitted (flagged empty)
 to keep the frame cadence uniform for downstream chunking.
+
+:func:`segment_blocks` tiles a stream read in blocks, holding only the open
+window's events; ``encoders.encode_blocks`` shares its tiling loop,
+``_pieces``, and folds a window with more events than its frame has cells.
 """
 
 from __future__ import annotations
@@ -100,24 +104,42 @@ def segment_blocks(
 
     A window is yielded as soon as a later event (or the end of the blocks)
     closes it. The open window is kept as one piece per block and joined
-    once when it closes, so a window spanning many blocks is copied once.
-    Window ends are searched for at most one per event, and the empty
-    windows of a longer gap are counted out one by one, so memory does not
-    grow with the time span. The int64 check on the last window's end runs
-    after the last block.
+    once when it closes; a piece that is only part of its block is copied
+    first, so that the rest of the block can go. A window thus holds all
+    of its events at once (``encoders.encode_blocks`` folds long windows
+    instead). The int64 check on the last window's end runs after the last
+    block.
     """
     T = config.window_length_us
-    t_first = None
+    pieces = []
+    for geometry, start, piece in _pieces(blocks, T):
+        pieces.append(piece)
+        if start is not None:
+            yield _close(geometry, pieces, start, T)
+            pieces = []
+
+
+def _pieces(blocks: Iterable[EventStream], T: int) -> Iterator[tuple]:
+    """The blocks cut at window edges, as (geometry, start, piece) in time order.
+
+    A piece is a block's (x, y, t, p) column slices, possibly empty, and
+    belongs to the open window. When start is not None, the piece is the
+    window's last and closes it as [start, start + T); an empty window is
+    one empty piece. Window ends are searched for at most one per event, and
+    the empty windows of a longer gap are counted out one by one, so memory
+    does not grow with the time span.
+    """
+    t_first = tail = None
     k = 0  # index of the open window
-    pieces = []  # the open window's (x, y, t, p) columns, one piece per block
     for block in blocks:
         if len(block) == 0:
             continue
         if t_first is None:
             t_first, geometry = block.t_first, block.geometry
+        else:
+            yield geometry, None, tail  # the open window goes on in this block
         t_last = block.t_last
         k_last = (t_last - t_first) // T
-        no_events = [(block.x[:0], block.y[:0], block.t[:0], block.p[:0])]
         lo = 0
         while k < k_last:
             # The ends of the next windows, searched for at once; none is
@@ -126,16 +148,22 @@ def segment_blocks(
             n = min(k_last - k, len(block) - lo)
             edges = t_first + T * np.arange(k + 1, k + n + 1, dtype=np.int64)
             for hi in block.t.searchsorted(edges).tolist():
-                pieces.append((block.x[lo:hi], block.y[lo:hi], block.t[lo:hi], block.p[lo:hi]))
-                yield _close(geometry, pieces, t_first + k * T, T)
-                pieces, lo, k = [], hi, k + 1
+                piece = (block.x[lo:hi], block.y[lo:hi], block.t[lo:hi], block.p[lo:hi])
+                yield geometry, t_first + k * T, piece
+                lo, k = hi, k + 1
             if k < k_last:
                 # The windows before the next event's are empty: count them out.
                 k_next = (int(block.t[lo]) - t_first) // T
+                no_events = (block.x[:0], block.y[:0], block.t[:0], block.p[:0])
                 for j in range(k, k_next):
-                    yield _close(geometry, no_events, t_first + j * T, T)
+                    yield geometry, t_first + j * T, no_events
                 k = k_next
-        pieces.append((block.x[lo:], block.y[lo:], block.t[lo:], block.p[lo:]))
+        # The open window's part of the block. When it is not all of it, it
+        # is copied, so that nothing here holds the block while the next is read.
+        tail = (block.x[lo:], block.y[lo:], block.t[lo:], block.p[lo:])
+        if lo:
+            tail = tuple(column.copy() for column in tail)
+        block = piece = no_events = None
     if t_first is None:
         return
     # Python ints cannot wrap; the int64 edges (and the frame tensor) can.
@@ -145,7 +173,7 @@ def segment_blocks(
             f"last window would end at {last_edge}, beyond the int64 range "
             f"(events {t_first}..{t_last}, window {T} us)"
         )
-    yield _close(geometry, pieces, t_first + k * T, T)
+    yield geometry, t_first + k * T, tail
 
 
 def _close(geometry: SensorGeometry, pieces: list[tuple], start: int, T: int) -> EventWindow:

@@ -1,9 +1,10 @@
-"""Block-wise AEDAT reading, segmentation and frame writing against the one-block run.
+"""Block-wise AEDAT reading, segmentation, encoding and frame writing against the one-block run.
 
 The block size is patched down to a few records, so block boundaries fall
 inside windows, at timestamp wraps and next to non-DVS records. Every result
 and every error message must equal the one-block run's, which reads the
-whole (small) file as a single block.
+whole (small) file as a single block. On a 4x4 sensor, windows hold more
+events than their frames have cells, so ``encode_blocks`` folds them.
 """
 
 import io
@@ -18,6 +19,7 @@ from evframes.encoders import (
     KIND_TIMESTAMP,
     POLARITY_IGNORE,
     POLARITY_MERGED,
+    encode_blocks,
     encode_stream,
     encode_window,
 )
@@ -72,6 +74,9 @@ def assert_matches_one_block(data, layout, geometry, block, window=WINDOW):
             with pytest.raises(FormatError) as exc:
                 list(segment_blocks(AedatReader(io.BytesIO(data), layout, geometry), window))
             assert str(exc.value) == whole
+            with pytest.raises(FormatError) as exc:
+                list(encode_blocks(AedatReader(io.BytesIO(data), layout, geometry), window))
+            assert str(exc.value) == whole
             return
         stream, stats = whole
         assert parse_aedat2_stats(data, layout, geometry) == (stream, stats)
@@ -82,11 +87,15 @@ def assert_matches_one_block(data, layout, geometry, block, window=WINDOW):
         assert windows == segment(stream, window)
         for kind, mode in MODES:
             frames = [encode_window(w, kind, mode) for w in windows]
-            assert frames == encode_stream(stream, window, kind, mode)
+            expected = encode_stream(stream, window, kind, mode)
+            assert frames == expected
             shape = (geometry.height, geometry.width, 3 if mode == POLARITY_MERGED else 1)
             out = io.BytesIO()
             assert write_frame_tensor_to(out, iter(frames), shape) == len(frames)
-            assert out.getvalue() == write_frame_tensor(frames, shape)
+            assert out.getvalue() == write_frame_tensor(expected, shape)
+            out = io.BytesIO()
+            write_frame_tensor_to(out, encode_blocks(blocks, window, kind, mode), shape)
+            assert out.getvalue() == write_frame_tensor(expected, shape)
 
 
 @st.composite
@@ -117,6 +126,69 @@ class TestRandomFiles:
     def test_blocks_match_one_block(self, block, case):
         name, data = case
         assert_matches_one_block(data, *LAYOUTS[name], block)
+
+
+TINY = SensorGeometry(4, 4)  # 16 cells with polarity ignored, 48 merged
+
+
+@st.composite
+def dense_files(draw):
+    """A DVS-128-layout file on a 4x4 sensor whose 100 us spans hold 0 to 120 events each."""
+    tick = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 600, 2**32 - 1)))
+    counts = st.one_of(st.just(0), st.integers(1, 20), st.integers(40, 120))
+    body = b""
+    for n in draw(st.lists(counts, max_size=6)):
+        for offset in sorted(draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))):
+            pixel = draw(st.integers(0, 31))  # x, y and polarity in one draw
+            p = 1 if pixel & 16 else -1
+            body += dvs128_record(pixel % 4, pixel // 4 % 4, p, (tick + offset) % 2**32)
+        tick += 100
+    return body
+
+
+def dense(per_window):
+    """A 4x4 file with the given event counts in consecutive 100 us windows, over all pixels."""
+    return b"".join(
+        dvs128_record(i % 4, (i // 4 + k) % 4, 1 if i % 3 else -1, 100 * k + 90 * i // n)
+        for k, n in enumerate(per_window)
+        for i in range(n)
+    )
+
+
+class TestFold:
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dense_files())
+    def test_dense_windows_match_one_block(self, block, data):
+        assert_matches_one_block(data, DVS128_LAYOUT, TINY, block)
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES + [1 << 16])
+    @pytest.mark.parametrize(
+        "per_window",
+        [[49, 49], [100, 0, 17, 100, 100], [200, 5, 60, 0, 0, 48, 47, 200]],
+        ids=["just-above-merged", "folded-then-empty", "mixed"],
+    )
+    def test_folded_windows_match_encode_stream(self, block, per_window):
+        data = dense(per_window)
+        stream = parse_aedat2_stats(data, DVS128_LAYOUT, TINY)[0]
+        # Some window holds more events than even a merged frame has cells.
+        assert max(map(len, segment(stream, WINDOW))) > 48
+        assert_matches_one_block(data, DVS128_LAYOUT, TINY, block)
+
+    def test_one_timestamp_per_folded_window(self):
+        # Three windows of 60 events each, all at one tick.
+        ticks = [7 + 100 * (i // 60) for i in range(180)]
+        data = b"".join(dvs128_record(i % 4, i // 4 % 4, 1, t) for i, t in enumerate(ticks))
+        assert_matches_one_block(data, DVS128_LAYOUT, TINY, 7)
+        stream = parse_aedat2_stats(data, DVS128_LAYOUT, TINY)[0]
+        frames = list(encode_blocks([stream], WINDOW, KIND_TIMESTAMP, POLARITY_IGNORE))
+        assert [f.pixels.max() for f in frames] == [255, 255, 255]
+
+    def test_bad_mode_is_refused_by_the_call(self):
+        with pytest.raises(ValueError, match="unknown polarity mode"):
+            encode_blocks([], WINDOW, KIND_TIMESTAMP, "both")
+        with pytest.raises(ValueError, match="unknown frame kind"):
+            encode_blocks([], WINDOW, "latest", POLARITY_MERGED)
 
 
 class TestBoundaries:

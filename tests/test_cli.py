@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from evframes import formats, ingest
 from evframes.chunking import POLICIES
 from evframes.cli import main
-from evframes.encoders import KIND_EVENT_COUNT, POLARITY_MERGED, EncodedFrame
+from evframes.encoders import KIND_EVENT_COUNT, POLARITY_MERGED, EncodedFrame, encode_stream
 from evframes.formats import (
     read_frame_tensor,
     write_frame_tensor,
@@ -27,6 +27,7 @@ from evframes.ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, parse_aedat2, parse
 from evframes.scoring import ScoreVector
 from evframes.simulator import SimConfig, simulate
 from evframes.stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_by_ratio
+from evframes.windowing import WindowConfig
 
 from tests.test_formats import make_frames, score_vectors, valid_tensors
 from tests.test_ingest import HEADER, davis_record, dvs128_record
@@ -499,6 +500,24 @@ class TestTruncate:
         assert len(out.read_text().splitlines()) > 80_000
         assert traced_peak("info", src, *flags)[1] < 1 << 20
         assert traced_peak("encode", src, tmp_path / "frames.evfr", *flags)[1] < 1 << 20
+
+    @pytest.mark.parametrize("fmt", ["aedat", "text"])
+    def test_one_window_memory_stays_within_a_few_blocks(self, tmp_path, monkeypatch, fmt):
+        # The 100k events of one window would cost about 2 MB as columns and
+        # far more as per-event temporaries; folded, the window costs one
+        # int64 per cell of the 240x180 frame (0.35 MB).
+        aedat, frames = tmp_path / "rec.aedat", tmp_path / "frames.evfr"
+        davis_file(aedat, 100_000)
+        src = as_input(aedat, fmt, DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
+        monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 1000)
+        flags = ("--layout", "davis240c", "--window-us", 10**9, "--polarity", "ignore")
+        code, peak = traced_peak("encode", src, frames, *flags)
+        assert code == 0
+        assert peak < 2 << 20
+        stream = parse_aedat2(aedat.read_bytes(), DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
+        expected = encode_stream(stream, WindowConfig(10**9), "timestamp", "ignore")
+        assert len(expected) == 1
+        assert frames.read_bytes() == write_frame_tensor(expected, (180, 240, 1))
 
     @pytest.mark.parametrize(
         "name,data,message",

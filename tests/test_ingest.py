@@ -16,6 +16,7 @@ from evframes.ingest import (
     parse_aedat2,
     parse_aedat2_stats,
     parse_text,
+    text_slices,
     write_text,
 )
 from evframes.stream import (
@@ -43,6 +44,48 @@ def davis_record(x, y, p, ticks, non_dvs=False):
     if non_dvs:
         addr |= 1 << 31
     return struct.pack(">II", addr, ticks)
+
+
+# x ends at bit 31, so a logical shift of the unsigned word must bring it
+# down; type bit 5 marks records to skip, and bits 0-1 and 6-11 are noise.
+TOP_X_LAYOUT_FIELDS = dict(x_shift=24, x_mask=0xFF, y_shift=12, y_mask=0xFFF, polarity_shift=2,
+                           type_bit=5)
+
+
+@st.composite
+def top_x_records(draw):
+    """(polarity_on_value, block size, [(address word, tick)]) with sorted ticks below 2**32."""
+    n = draw(st.integers(0, 40))
+    words = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
+    ticks = sorted(draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)))
+    return draw(st.sampled_from([0, 1])), draw(st.sampled_from([1, 2, 3, 1 << 16])), list(
+        zip(words, ticks)
+    )
+
+
+class TestDecode:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(top_x_records())
+    @example((0, 1 << 16, [(0xFF000000, 0), (0x80000020, 1), (0x7FFFFFFF, 2)]))
+    @example((1, 2, [(0xFFFFF004, 5), (0x80FFF000, 6), (0x00000020, 6)]))
+    def test_matches_a_per_record_decode(self, case):
+        on, block, records = case
+        layout = AedatLayout(**TOP_X_LAYOUT_FIELDS, polarity_on_value=on)
+        geometry = SensorGeometry(256, 4096)
+        expected = [
+            Event((w >> 24) & 0xFF, (w >> 12) & 0xFFF, t, 1 if (w >> 2) & 1 == on else -1)
+            for w, t in records
+            if not (w >> 5) & 1
+        ]
+        data = b"".join(struct.pack(">II", w, t) for w, t in records)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_RECORDS", block)
+            stream, stats = parse_aedat2_stats(data, layout, geometry)
+        assert list(stream) == expected
+        assert (stream.x.dtype, stream.y.dtype, stream.t.dtype, stream.p.dtype) == (
+            np.int32, np.int32, np.int64, np.int8
+        )
+        assert stats.skipped_non_dvs == len(records) - len(expected)
 
 
 class TestParseAedat2:
@@ -266,17 +309,29 @@ text_events = st.lists(
 )
 
 
+def numbered_events(n):
+    """n text events, one per tick, over every pixel and both polarities."""
+    return [(i % 7, i % 5, i, 1 - 2 * (i % 2)) for i in range(n)]
+
+
 class TestWriteText:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(text_events)
     @example([(0, 0, 0, -1)])
     @example([(6, 4, 2**63 - 1, -1)])
     @example([(1, 2, 0, 1), (3, 4, 0, -1), (5, 0, 2**63 - 1, -1)])
+    @example(numbered_events(ingest._TEXT_SLICE - 1))
+    @example(numbered_events(ingest._TEXT_SLICE))
+    @example(numbered_events(ingest._TEXT_SLICE + 1))
     def test_matches_the_per_line_writer(self, events):
         s = EventStream.from_events(TEXT_GEOMETRY, sorted(events, key=lambda e: e[2]))
         text = write_text(s)
         assert text == per_line_text(s)
         assert parse_text(text, TEXT_GEOMETRY) == s
+        slices = list(text_slices(s))
+        assert [piece.count("\n") for piece in slices] == [
+            min(ingest._TEXT_SLICE, len(s) - lo) for lo in range(0, len(s), ingest._TEXT_SLICE)
+        ]
 
 
 LAYOUTS = {

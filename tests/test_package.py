@@ -22,9 +22,9 @@ def test_all_names_exactly_the_public_names():
 
 
 def test_block_forms_beside_whole_stream_functions():
-    assert {"segment_blocks", "truncate_blocks", "AedatReader", "TextReader"} <= set(
-        evframes.__all__
-    )
+    assert {
+        "segment_blocks", "truncate_blocks", "encode_blocks", "AedatReader", "TextReader"
+    } <= set(evframes.__all__)
     # truncate_blocks holds the per-block cut; encode_stream lives with the encoders.
     assert "truncate_block" not in evframes.__all__
     assert evframes.encode_stream is evframes.encoders.encode_stream

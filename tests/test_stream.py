@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evframes.ingest import FormatError
@@ -151,13 +151,19 @@ def split(stream, bounds):
     ]
 
 
+def ticks_stream(t):
+    """A DVS-128 stream with the given ticks, one event per column of row 3."""
+    n = len(t)
+    return EventStream(DVS128_GEOMETRY, [i % 128 for i in range(n)], [3] * n, t,
+                       [(-1) ** i for i in range(n)])
+
+
 @st.composite
 def blocked_streams(draw):
     """(stream, its blocks, ratio): blocks may be empty, and the cutoff may fall on a block edge."""
     t = sorted(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40)))
     n = len(t)
-    x, p = [i % 128 for i in range(n)], [(-1) ** i for i in range(n)]
-    stream = EventStream(DVS128_GEOMETRY, x, [3] * n, t, p)
+    stream = ticks_stream(t)
     cuts = draw(st.lists(st.integers(0, n), max_size=6))  # repeated cuts make empty blocks
     bounds = [0, *sorted(cuts), n]
     span = t[-1] - t[0]
@@ -172,17 +178,25 @@ def blocked_streams(draw):
     return stream, split(stream, bounds), ratio
 
 
+# ratio * span is 4030.9999999999995 here, below the offset 4031 of tick 4137;
+# t_first + ratio * span rounds up to 4137.0.
+ROUNDED_UP = ticks_stream([106, 106, 106, 106, 4137, 4978])
+
+
 class TestTruncateBlocks:
     @settings(max_examples=300, deadline=None)
     @given(blocked_streams())
+    @example((ROUNDED_UP, split(ROUNDED_UP, [0, 5, 6]), 4031 / 4872))
     def test_join_equals_whole_stream_truncation(self, case):
         stream, blocks, ratio = case
         counting = CountingBlocks(blocks)
         heads = list(truncate_blocks(counting, ratio))
         joined = EventStream.concat(stream.geometry, heads)
         assert joined == truncate_by_ratio(stream, ratio)
-        cutoff = stream.t_first + ratio * float(stream.t_last - stream.t_first)
-        assert list(joined.t) == [t for t in stream.t.tolist() if t <= cutoff]
+        # Each event's offset from t_first against ratio * span, the rule's own
+        # arithmetic; adding t_first back to the product can round it up a tick.
+        cutoff = ratio * float(stream.t_last - stream.t_first)
+        assert list(joined.t) == [t for t in stream.t.tolist() if t - stream.t_first <= cutoff]
         # The second pass stops at the first block that loses an event.
         n_keep = len(joined)
         ends = np.cumsum([len(b) for b in blocks])

@@ -15,17 +15,15 @@ events in channel 0, negative in channel 1, channel 2 zero, of a 3-channel
 8-bit frame) or ``ignore`` (1 channel, all events pooled). Quantization maps
 v to round(255 * v / v_max) with round-half-up; v_max is fixed at 1.0 for
 the timestamp kind and is the joint maximum over both polarity fields for
-the count kind, so each frame is self-normalized. :func:`encode_stream`
-encodes every window of a stream in memory, one frame per window;
-:func:`encode_blocks` encodes a stream read in blocks, lazily, with the
-same frames.
+the count kind, so each frame is self-normalized. :func:`encode_blocks`
+encodes a stream read in blocks, lazily, one frame per window;
+:func:`encode_stream` is its join over one block.
 
-Frames and fields come from one scatter: every event of the window gets its
-raster cell and a value, each built in one buffer. A count cell is
-assigned, since every event of a cell carries the same count; a timestamp
-cell keeps the largest value it receives. ``encode_blocks`` folds a window
-with more events than its frame has cells into one int64 per cell instead,
-and quantizes only the active cells.
+Fields, and frames of windows with no more events than their frame has
+cells, come from one scatter: every event gets its raster cell and a value,
+each built in one buffer. A count cell is assigned, since every event of a
+cell carries the same count; a timestamp cell keeps the largest value it
+receives. A denser window folds instead (see :func:`encode_blocks`).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .stream import EventStream, SensorGeometry
-from .windowing import EventWindow, WindowConfig, _close, _pieces, segment
+from .windowing import EventWindow, WindowConfig, _close, _pieces
 
 KIND_TIMESTAMP = "timestamp"
 KIND_EVENT_COUNT = "event_count"
@@ -223,8 +221,8 @@ def encode_stream(
     kind: str = "timestamp",
     polarity_mode: str = POLARITY_MERGED,
 ) -> list[EncodedFrame]:
-    """Segment a stream and encode every window; one frame per window."""
-    return [encode_window(w, kind, polarity_mode) for w in segment(stream, config)]
+    """:func:`encode_blocks` over one block, in memory; a window denser than its frame folds."""
+    return list(encode_blocks([stream], config, kind, polarity_mode))
 
 
 def encode_blocks(
@@ -233,7 +231,7 @@ def encode_blocks(
     kind: str = "timestamp",
     polarity_mode: str = POLARITY_MERGED,
 ) -> Iterator[EncodedFrame]:
-    """Lazily encode a stream that arrives as blocks; the frames equal :func:`encode_stream`'s.
+    """Lazily encode a stream that arrives as blocks, one frame per window.
 
     Windows are tiled as :func:`segment_blocks` tiles them. A window is
     kept as block pieces until it holds more events than its frame has

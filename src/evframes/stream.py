@@ -178,14 +178,16 @@ def validate_stream(stream: EventStream) -> list[Violation]:
 def truncate_by_ratio(stream: EventStream, ratio: float) -> EventStream:
     """Keep the prefix of events observed within the first `ratio` of the recording.
 
-    The cutoff is t_first + ratio * (t_last - t_first), inclusive, so ratio=1
-    keeps every event. Geometry is unchanged.
+    An event is kept when its offset t - t_first is at most
+    ratio * float(t_last - t_first), compared in float64, so ratio=1 keeps
+    every event. Adding t_first to that product can round it up a tick
+    (``ROUNDED_UP`` in tests/test_stream.py). Geometry is unchanged.
     """
     return EventStream.concat(stream.geometry, list(truncate_blocks([stream], ratio)))
 
 
 def truncate_blocks(blocks: Iterable[EventStream], ratio: float) -> Iterator[EventStream]:
-    """Truncate a stream given as re-iterable blocks, as :func:`truncate_by_ratio` does.
+    """Truncate re-iterable blocks by :func:`truncate_by_ratio`'s float64 cutoff on offsets.
 
     The first pass, made before this returns, finds t_first and t_last and
     raises every error: a one-shot iterator's TypeError, the blocks' own, an
@@ -202,7 +204,6 @@ def truncate_blocks(blocks: Iterable[EventStream], ratio: float) -> Iterator[Eve
         raise ValueError("cannot truncate empty stream")
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    # Offsets t - t_first against ratio*span keep the comparison exact at ratio=1.
     cutoff = ratio * float(t_last - t_first)
 
     def heads() -> Iterator[EventStream]:

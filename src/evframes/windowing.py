@@ -6,8 +6,9 @@ windows that happen to contain no events are still emitted (flagged empty)
 to keep the frame cadence uniform for downstream chunking.
 
 :func:`segment_blocks` tiles a stream read in blocks, holding only the open
-window's events; ``encoders.encode_blocks`` shares its tiling loop,
-``_pieces``, and folds a window with more events than its frame has cells.
+window's events. ``encoders.encode_blocks``, and with it ``encode_stream``,
+shares its tiling loop, ``_pieces``, and folds a window with more events
+than its frame has cells.
 """
 
 from __future__ import annotations

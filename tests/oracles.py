@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 
+from evframes.encoders import encode_window
 from evframes.ingest import FormatError
 from evframes.stream import MAX_TIMESTAMP_US, EventStream
+from evframes.windowing import segment
 
 
 def count_field_loop(x, y, width, height):
@@ -14,6 +16,11 @@ def count_field_loop(x, y, width, height):
     for i in range(x.shape[0]):
         out[y[i], x[i]] += 1
     return out
+
+
+def encode_per_window(stream, config, kind, mode):
+    """Every window of ``segment`` scattered by ``encode_window``, none folded."""
+    return [encode_window(w, kind, mode) for w in segment(stream, config)]
 
 
 def last_timestamp_loop(x, y, t, width, height):

@@ -34,6 +34,7 @@ from evframes.ingest import (
 from evframes.stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry
 from evframes.windowing import WindowConfig, segment, segment_blocks
 
+from tests.oracles import encode_per_window
 from tests.test_ingest import HEADER, davis_record, dvs128_record
 
 BLOCK_SIZES = [1, 2, 3, 7]
@@ -87,8 +88,9 @@ def assert_matches_one_block(data, layout, geometry, block, window=WINDOW):
         assert windows == segment(stream, window)
         for kind, mode in MODES:
             frames = [encode_window(w, kind, mode) for w in windows]
-            expected = encode_stream(stream, window, kind, mode)
+            expected = encode_per_window(stream, window, kind, mode)
             assert frames == expected
+            assert encode_stream(stream, window, kind, mode) == expected
             shape = (geometry.height, geometry.width, 3 if mode == POLARITY_MERGED else 1)
             out = io.BytesIO()
             assert write_frame_tensor_to(out, iter(frames), shape) == len(frames)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from evframes import formats, ingest
 from evframes.chunking import POLICIES
 from evframes.cli import main
-from evframes.encoders import KIND_EVENT_COUNT, POLARITY_MERGED, EncodedFrame, encode_stream
+from evframes.encoders import KIND_EVENT_COUNT, POLARITY_MERGED, EncodedFrame
 from evframes.formats import (
     read_frame_tensor,
     write_frame_tensor,
@@ -29,6 +29,7 @@ from evframes.simulator import SimConfig, simulate
 from evframes.stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_by_ratio
 from evframes.windowing import WindowConfig
 
+from tests.oracles import encode_per_window
 from tests.test_formats import make_frames, score_vectors, valid_tensors
 from tests.test_ingest import HEADER, davis_record, dvs128_record
 
@@ -515,7 +516,7 @@ class TestTruncate:
         assert code == 0
         assert peak < 2 << 20
         stream = parse_aedat2(aedat.read_bytes(), DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
-        expected = encode_stream(stream, WindowConfig(10**9), "timestamp", "ignore")
+        expected = encode_per_window(stream, WindowConfig(10**9), "timestamp", "ignore")
         assert len(expected) == 1
         assert frames.read_bytes() == write_frame_tensor(expected, (180, 240, 1))
 

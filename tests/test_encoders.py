@@ -9,13 +9,14 @@ from evframes.encoders import (
     POLARITY_IGNORE,
     POLARITY_MERGED,
     EncodedFrame,
+    encode_stream,
     encode_window,
     event_count_field,
     quantize,
     timestamp_field,
 )
-from evframes.stream import SensorGeometry
-from evframes.windowing import EventWindow
+from evframes.stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
+from evframes.windowing import EventWindow, WindowConfig
 
 
 def window_from_events(events, window_start, window_end, geometry):
@@ -300,6 +301,24 @@ class TestEncodeSingle:
         w = window_from_events([(1, 1, 10, 1)], 0, 100, GEOM)
         with pytest.raises(ValueError, match="unknown frame kind"):
             encode_window(w, "voxel", POLARITY_IGNORE)
+
+    @pytest.mark.parametrize(
+        "kind,mode,message",
+        [
+            ("latest", POLARITY_MERGED, "unknown frame kind"),
+            (KIND_TIMESTAMP, "both", "unknown polarity mode"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "events",
+        # No window to encode; and two windows, the last ending past int64.
+        [[], [(0, 0, 0, 1), (1, 1, MAX_TIMESTAMP_US - 1, -1)]],
+        ids=["empty", "window-end-overflow"],
+    )
+    def test_unknown_mode_rejected_by_the_call(self, kind, mode, message, events):
+        stream = EventStream.from_events(GEOM, events)
+        with pytest.raises(ValueError, match=message):
+            encode_stream(stream, WindowConfig(2**62), kind, mode)
 
 
 class TestFrameInvariants:

@@ -59,13 +59,10 @@ from .simulator import SimConfig, simulate
 from .stream import (
     DAVIS240C_GEOMETRY,
     DVS128_GEOMETRY,
-    Event,
     EventStream,
     SensorGeometry,
-    Violation,
     truncate_blocks,
     truncate_by_ratio,
-    validate_stream,
 )
 from .windowing import DEFAULT_WINDOW_US, EventWindow, WindowConfig, segment, segment_blocks
 
@@ -91,7 +88,6 @@ __all__ = [
     "AedatReader",
     "Chunk",
     "EncodedFrame",
-    "Event",
     "EventStream",
     "EventWindow",
     "FormatError",
@@ -103,7 +99,6 @@ __all__ = [
     "SimConfig",
     "TextReader",
     "VideoPrediction",
-    "Violation",
     "WindowConfig",
     "apply_empty_policy",
     "encode_blocks",
@@ -125,7 +120,6 @@ __all__ = [
     "timestamp_field",
     "truncate_blocks",
     "truncate_by_ratio",
-    "validate_stream",
     "write_frame_tensor",
     "write_frame_tensor_to",
     "write_pgm",

@@ -31,10 +31,6 @@ class Chunk:
     def frame_indices(self) -> tuple[int, ...]:
         return tuple(range(self.index - len(self.frames) + 1, self.index + 1))
 
-    @property
-    def all_empty(self) -> bool:
-        return all(f.empty for f in self.frames)
-
 
 def select_chunks(empty: Sequence[bool], policy: str = POLICY_KEEP) -> list[range]:
     """Frame indices of each chunk that policy keeps, over frames with these empty flags."""
@@ -72,7 +68,7 @@ def make_chunks(frames: Sequence[EncodedFrame]) -> list[Chunk]:
 def apply_empty_policy(chunks: Sequence[Chunk], policy: str = POLICY_KEEP) -> list[Chunk]:
     """Filter chunks per the empty-frame policy."""
     drop = _drops_all_empty(policy)
-    return [c for c in chunks if not (drop and c.all_empty)]
+    return [c for c in chunks if not (drop and all(f.empty for f in c.frames))]
 
 
 def _drops_all_empty(policy: str) -> bool:

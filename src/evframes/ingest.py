@@ -10,7 +10,9 @@ defaults for the DVS-128 and DAViS240C conventions.
 
 The 32-bit tick counter wraps after ~71 minutes; wraps are detected (raw
 timestamp dropping by more than 2^31) and corrected by adding 2^32 ticks per
-wrap, so output timestamps are monotone int64 microseconds.
+wrap, so output timestamps are monotone int64 microseconds. A record whose
+unwrapped tick would pass the int64 range is an error, found in each block
+before its backward ticks.
 
 AEDAT input is read in blocks of ``_BLOCK_RECORDS`` records by
 :class:`AedatReader`, so memory does not grow with the file. Each block is
@@ -212,6 +214,14 @@ class AedatReader:
         wrapped = raw[down] - before < -_WRAP_JUMP
         wraps = down[wrapped]
         self._last_raw = int(raw[-1])
+        if (self.timestamp_wraps + wraps.size + 1) * _WRAP_STEP > MAX_TIMESTAMP_US:
+            # Some unwrapped tick may pass the int64 range: name the first that does.
+            w = self.timestamp_wraps + np.cumsum(np.bincount(wraps, minlength=n))
+            over = np.flatnonzero(w > (MAX_TIMESTAMP_US - raw) // _WRAP_STEP)
+            if over.size:
+                i = int(over[0])
+                t = int(raw[i]) + int(w[i]) * _WRAP_STEP
+                raise FormatError(f"record {base + i}: unwrapped tick {t} beyond the int64 range")
         ticks = raw  # a copy of the file's words, offset in place
         if self.timestamp_wraps:
             ticks += self.timestamp_wraps * _WRAP_STEP

@@ -1,4 +1,4 @@
-"""Core event data model: sensor geometry, single events, and event streams.
+"""Core event data model: sensor geometry and columnar event streams.
 
 An event stream is stored column-wise (struct-of-arrays) so that millions of
 events can be filtered, windowed and rasterized with numpy at full speed.
@@ -12,22 +12,13 @@ stream read in blocks, in two passes; :func:`truncate_by_ratio` is its join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
 
 # Largest timestamp (us) an int64 column, and the frame tensor's window edges, can hold.
 MAX_TIMESTAMP_US = int(np.iinfo(np.int64).max)
-
-
-class Event(NamedTuple):
-    """One sensor spike: pixel column/row, timestamp (us), polarity (+1/-1)."""
-
-    x: int
-    y: int
-    t: int
-    p: int
 
 
 @dataclass(frozen=True)
@@ -46,24 +37,14 @@ DVS128_GEOMETRY = SensorGeometry(128, 128)
 DAVIS240C_GEOMETRY = SensorGeometry(240, 180)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One invariant violation found by validate_stream, tied to an event index."""
-
-    index: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"event {self.index}: {self.message}"
-
-
 class EventStream:
     """A finite, time-ordered sequence of events plus the sensor geometry.
 
     Columns are kept as read-only numpy arrays (x, y: int32; t: int64 us;
     p: int8 in {+1, -1}). Construction does not enforce the invariants
-    (sorted timestamps, in-bounds coordinates, legal polarity); use
-    :func:`validate_stream` to check them explicitly.
+    (sorted timestamps, in-bounds coordinates, legal polarity): the readers
+    and the simulator enforce them, and the tests check them
+    (``tests/oracles.py``).
     """
 
     __slots__ = ("geometry", "x", "y", "t", "p")
@@ -83,15 +64,6 @@ class EventStream:
         return cls(geometry, [], [], [], [])
 
     @classmethod
-    def from_events(cls, geometry: SensorGeometry, events: Iterable[tuple]) -> "EventStream":
-        """Build a stream from an iterable of (x, y, t, p) tuples or Events."""
-        ev = list(events)
-        if not ev:
-            return cls.empty(geometry)
-        arr = np.asarray(ev, dtype=np.int64)
-        return cls(geometry, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
-
-    @classmethod
     def concat(cls, geometry: SensorGeometry, parts: list["EventStream"]) -> "EventStream":
         """Join consecutive pieces of one stream; a single piece is returned as is."""
         if len(parts) == 1:
@@ -103,13 +75,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.x[i]), int(self.y[i]), int(self.t[i]), int(self.p[i]))
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
@@ -145,34 +110,6 @@ def _column(values, dtype) -> np.ndarray:
         arr = arr.reshape(-1)
     arr.setflags(write=False)
     return arr
-
-
-def validate_stream(stream: EventStream) -> list[Violation]:
-    """Check every stream invariant and return all violations found.
-
-    Violations are data, not errors: an empty list means the stream is valid.
-    Checked per event: 0 <= x < width, 0 <= y < height, p in {+1, -1},
-    t >= 0, and t non-decreasing relative to the previous event.
-    """
-    out: list[Violation] = []
-    g = stream.geometry
-
-    for i in np.flatnonzero((stream.x < 0) | (stream.x >= g.width)):
-        out.append(Violation(int(i), f"x out of bounds: {stream.x[i]} not in [0, {g.width})"))
-    for i in np.flatnonzero((stream.y < 0) | (stream.y >= g.height)):
-        out.append(Violation(int(i), f"y out of bounds: {stream.y[i]} not in [0, {g.height})"))
-    for i in np.flatnonzero((stream.p != 1) & (stream.p != -1)):
-        out.append(Violation(int(i), f"illegal polarity {stream.p[i]}, expected +1 or -1"))
-    for i in np.flatnonzero(stream.t < 0):
-        out.append(Violation(int(i), f"negative timestamp {stream.t[i]}"))
-    if len(stream) > 1:
-        for j in np.flatnonzero(np.diff(stream.t) < 0):
-            i = int(j) + 1
-            out.append(
-                Violation(i, f"non-monotone timestamp: {stream.t[i]} after {stream.t[i - 1]}")
-            )
-    out.sort(key=lambda v: v.index)
-    return out
 
 
 def truncate_by_ratio(stream: EventStream, ratio: float) -> EventStream:

@@ -108,8 +108,7 @@ def segment_blocks(
     once when it closes; a piece that is only part of its block is copied
     first, so that the rest of the block can go. A window thus holds all
     of its events at once (``encoders.encode_blocks`` folds long windows
-    instead). The int64 check on the last window's end runs after the last
-    block.
+    instead).
     """
     T = config.window_length_us
     pieces = []
@@ -141,6 +140,14 @@ def _pieces(blocks: Iterable[EventStream], T: int) -> Iterator[tuple]:
             yield geometry, None, tail  # the open window goes on in this block
         t_last = block.t_last
         k_last = (t_last - t_first) // T
+        # Python ints cannot wrap; the int64 edges (and the frame tensor) can.
+        # So the end of the block's last window is checked before its first.
+        last_edge = t_first + (k_last + 1) * T
+        if last_edge > MAX_TIMESTAMP_US:
+            raise ValueError(
+                f"last window would end at {last_edge}, beyond the int64 range "
+                f"(events {t_first}..{t_last}, window {T} us)"
+            )
         lo = 0
         while k < k_last:
             # The ends of the next windows, searched for at once; none is
@@ -165,16 +172,8 @@ def _pieces(blocks: Iterable[EventStream], T: int) -> Iterator[tuple]:
         if lo:
             tail = tuple(column.copy() for column in tail)
         block = piece = no_events = None
-    if t_first is None:
-        return
-    # Python ints cannot wrap; the int64 edges (and the frame tensor) can.
-    last_edge = t_first + (k + 1) * T
-    if last_edge > MAX_TIMESTAMP_US:
-        raise ValueError(
-            f"last window would end at {last_edge}, beyond the int64 range "
-            f"(events {t_first}..{t_last}, window {T} us)"
-        )
-    yield geometry, t_first + k * T, tail
+    if t_first is not None:
+        yield geometry, t_first + k * T, tail
 
 
 def _close(geometry: SensorGeometry, pieces: list[tuple], start: int, T: int) -> EventWindow:

@@ -1,6 +1,8 @@
-"""Plain-Python loops that the vectorized paths are tested against."""
+"""Plain-Python loops that the vectorized paths are tested against, the
+stream invariant checker, and the per-event view the tests read streams by."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -8,6 +10,59 @@ from evframes.encoders import encode_window
 from evframes.ingest import FormatError
 from evframes.stream import MAX_TIMESTAMP_US, EventStream
 from evframes.windowing import segment
+
+
+def events(stream):
+    """The stream's events as a list of (x, y, t, p) int tuples."""
+    return list(zip(stream.x.tolist(), stream.y.tolist(), stream.t.tolist(), stream.p.tolist()))
+
+
+def stream_of(geometry, tuples):
+    """A stream built from an iterable of (x, y, t, p) tuples."""
+    ev = list(tuples)
+    if not ev:
+        return EventStream.empty(geometry)
+    arr = np.asarray(ev, dtype=np.int64)
+    return EventStream(geometry, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One invariant violation found by validate_stream, tied to an event index."""
+
+    index: int
+    message: str
+
+    def __str__(self) -> str:
+        return f"event {self.index}: {self.message}"
+
+
+def validate_stream(stream: EventStream) -> list[Violation]:
+    """Check every stream invariant and return all violations found.
+
+    Violations are data, not errors: an empty list means the stream is valid.
+    Checked per event: 0 <= x < width, 0 <= y < height, p in {+1, -1},
+    t >= 0, and t non-decreasing relative to the previous event.
+    """
+    out: list[Violation] = []
+    g = stream.geometry
+
+    for i in np.flatnonzero((stream.x < 0) | (stream.x >= g.width)):
+        out.append(Violation(int(i), f"x out of bounds: {stream.x[i]} not in [0, {g.width})"))
+    for i in np.flatnonzero((stream.y < 0) | (stream.y >= g.height)):
+        out.append(Violation(int(i), f"y out of bounds: {stream.y[i]} not in [0, {g.height})"))
+    for i in np.flatnonzero((stream.p != 1) & (stream.p != -1)):
+        out.append(Violation(int(i), f"illegal polarity {stream.p[i]}, expected +1 or -1"))
+    for i in np.flatnonzero(stream.t < 0):
+        out.append(Violation(int(i), f"negative timestamp {stream.t[i]}"))
+    if len(stream) > 1:
+        for j in np.flatnonzero(np.diff(stream.t) < 0):
+            i = int(j) + 1
+            out.append(
+                Violation(i, f"non-monotone timestamp: {stream.t[i]} after {stream.t[i - 1]}")
+            )
+    out.sort(key=lambda v: v.index)
+    return out
 
 
 def count_field_loop(x, y, width, height):

@@ -38,8 +38,10 @@ from evframes.formats import read_frame_tensor, write_frame_tensor
 from evframes.ingest import DVS128_LAYOUT, parse_aedat2_stats, parse_text, write_text
 from evframes.scoring import ScoreVector, temporal_average_pool
 from evframes.simulator import SimConfig, simulate
-from evframes.stream import DVS128_GEOMETRY, Event, EventStream, SensorGeometry
+from evframes.stream import DVS128_GEOMETRY, EventStream, SensorGeometry
 from evframes.windowing import EventWindow, WindowConfig, segment
+
+from tests.oracles import events
 
 
 SCORECARD: list[str] = []
@@ -387,18 +389,18 @@ def test_criterion_09_format_round_trips():
     decoded, stats = parse_aedat2_stats(blob, DVS128_LAYOUT, DVS128_GEOMETRY)
     wrap = 1 << 32
     expected = [
-        Event(1, 2, 100, 1),
-        Event(5, 0, 150, -1),
-        Event(127, 127, 200, 1),
-        Event(0, 0, 200, -1),
-        Event(64, 32, 300, 1),
-        Event(3, 9, 4_294_967_000, -1),
-        Event(8, 8, 4_294_967_290, 1),
-        Event(9, 7, 5 + wrap, -1),
-        Event(10, 6, 50 + wrap, 1),
-        Event(11, 5, 100 + wrap, -1),
+        (1, 2, 100, 1),
+        (5, 0, 150, -1),
+        (127, 127, 200, 1),
+        (0, 0, 200, -1),
+        (64, 32, 300, 1),
+        (3, 9, 4_294_967_000, -1),
+        (8, 8, 4_294_967_290, 1),
+        (9, 7, 5 + wrap, -1),
+        (10, 6, 50 + wrap, 1),
+        (11, 5, 100 + wrap, -1),
     ]
-    assert [decoded[i] for i in range(len(decoded))] == expected
+    assert events(decoded) == expected
     assert stats.records == 10
     assert stats.timestamp_wraps == 1
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -36,6 +37,14 @@ from tests.test_ingest import HEADER, davis_record, dvs128_record
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def child_env():
+    """The environment of a child that imports the evframes this suite tests, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(formats.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def write_events(path, lines):
@@ -654,6 +663,28 @@ class TestExitCodes:
         assert err.startswith("evframes:") and "int64" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_window_end_overflow_fails_before_writing(self, tmp_path):
+        # 34 bytes whose 80 ms windows would number 1.15e14 and end past
+        # 2**63 - 1. A child with a 1 MiB file-size limit and a timeout keeps
+        # a regression from filling the disk.
+        src = tmp_path / "ev.txt"
+        write_events(src, ["0 0 0 1", "9223372036854775806 0 0 1"])
+        out = tmp_path / "frames.evfr"
+        proc = subprocess.run(
+            [sys.executable, "-m", "evframes", "encode", str(src), str(out)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20)),
+        )
+        edge = ((2**63 - 2) // 80_000 + 1) * 80_000
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+            f"evframes: last window would end at {edge}, beyond the int64 range "
+            "(events 0..9223372036854775806, window 80000 us)\n"
+        ))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.txt"]
+
     def test_bad_coordinate_in_later_block_leaves_no_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 2)
         src = tmp_path / "rec.aedat"
@@ -684,15 +715,11 @@ class TestExitCodes:
     def test_console_script_installed(self, tmp_path):
         src = tmp_path / "ev.txt"
         src.write_text("0 1 1 1\n")
-        # The child imports the evframes this suite tests, installed or not.
-        package_root = os.path.dirname(os.path.dirname(formats.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "evframes", "info", str(src), "--geometry", "4x4"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "events: 1" in proc.stdout

@@ -15,8 +15,10 @@ from evframes.encoders import (
     quantize,
     timestamp_field,
 )
-from evframes.stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
+from evframes.stream import MAX_TIMESTAMP_US, SensorGeometry
 from evframes.windowing import EventWindow, WindowConfig
+
+from tests.oracles import stream_of
 
 
 def window_from_events(events, window_start, window_end, geometry):
@@ -316,7 +318,7 @@ class TestEncodeSingle:
         ids=["empty", "window-end-overflow"],
     )
     def test_unknown_mode_rejected_by_the_call(self, kind, mode, message, events):
-        stream = EventStream.from_events(GEOM, events)
+        stream = stream_of(GEOM, events)
         with pytest.raises(ValueError, match=message):
             encode_stream(stream, WindowConfig(2**62), kind, mode)
 

@@ -22,13 +22,11 @@ from evframes.ingest import (
 from evframes.stream import (
     DAVIS240C_GEOMETRY,
     DVS128_GEOMETRY,
-    Event,
     EventStream,
     SensorGeometry,
-    validate_stream,
 )
 
-from tests.oracles import parse_text_whole
+from tests.oracles import events, parse_text_whole, stream_of, validate_stream
 
 HEADER = b"#!AER-DAT2.0\n"
 
@@ -73,7 +71,7 @@ class TestDecode:
         layout = AedatLayout(**TOP_X_LAYOUT_FIELDS, polarity_on_value=on)
         geometry = SensorGeometry(256, 4096)
         expected = [
-            Event((w >> 24) & 0xFF, (w >> 12) & 0xFFF, t, 1 if (w >> 2) & 1 == on else -1)
+            ((w >> 24) & 0xFF, (w >> 12) & 0xFFF, t, 1 if (w >> 2) & 1 == on else -1)
             for w, t in records
             if not (w >> 5) & 1
         ]
@@ -81,7 +79,7 @@ class TestDecode:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_BLOCK_RECORDS", block)
             stream, stats = parse_aedat2_stats(data, layout, geometry)
-        assert list(stream) == expected
+        assert events(stream) == expected
         assert (stream.x.dtype, stream.y.dtype, stream.t.dtype, stream.p.dtype) == (
             np.int32, np.int32, np.int64, np.int8
         )
@@ -98,7 +96,7 @@ class TestParseAedat2:
         # x=(0x1205>>1)&0x7F=2, y=(0x1205>>8)&0x7F=18.
         data = HEADER + bytes([0x00, 0x00, 0x12, 0x05, 0x00, 0x00, 0x00, 0x64])
         stream = parse_aedat2(data, DVS128_LAYOUT, DVS128_GEOMETRY)
-        assert list(stream) == [Event(x=2, y=18, t=100, p=-1)]
+        assert events(stream) == [(2, 18, 100, -1)]
 
     def test_timestamp_wraparound(self):
         data = HEADER + dvs128_record(1, 1, 1, 0xFFFFFFFF) + dvs128_record(1, 1, 1, 0x00000001)
@@ -117,6 +115,16 @@ class TestParseAedat2:
         assert stats.timestamp_wraps == 2
         assert list(np.diff(stream.t) >= 0) == [True] * 4
         assert stream.t[-1] == 2 + 2 * 2**32
+
+    @pytest.mark.parametrize("block", [1, 2, 1 << 16])
+    def test_unwrapped_tick_beyond_int64_is_named(self, monkeypatch, block):
+        # With 2**62 ticks per wrap, the second wrap puts record 3 at 2**63 + 5.
+        monkeypatch.setattr(ingest, "_WRAP_STEP", 1 << 62)
+        monkeypatch.setattr(ingest, "_BLOCK_RECORDS", block)
+        recs = b"".join(dvs128_record(0, 0, 1, t) for t in [4 * 10**9, 5, 4 * 10**9, 5, 4 * 10**9])
+        with pytest.raises(FormatError) as exc:
+            parse_aedat2(HEADER + recs, DVS128_LAYOUT, DVS128_GEOMETRY)
+        assert str(exc.value) == f"record 3: unwrapped tick {2**63 + 5} beyond the int64 range"
 
     def test_trailing_partial_record(self):
         data = HEADER + dvs128_record(1, 1, 1, 10) + b"\x00\x01\x02"
@@ -152,7 +160,7 @@ class TestParseAedat2:
         data = HEADER + davis_record(x, y, 1, t) + davis_record(6, 10, -1, 0x01020305)
         stream, stats = parse_aedat2_stats(data, DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
         assert (stats.header_lines, stats.records) == (1, 2)
-        assert list(stream) == [Event(x, y, t, 1), Event(6, 10, 0x01020305, -1)]
+        assert events(stream) == [(x, y, t, 1), (6, 10, 0x01020305, -1)]
 
     def test_header_line_with_control_character(self):
         with pytest.raises(FormatError, match=r"header line 2: not valid text \(control "
@@ -161,7 +169,7 @@ class TestParseAedat2:
 
     def test_no_header_is_allowed(self):
         stream = parse_aedat2(dvs128_record(3, 4, -1, 7), DVS128_LAYOUT, DVS128_GEOMETRY)
-        assert list(stream) == [Event(3, 4, 7, -1)]
+        assert events(stream) == [(3, 4, 7, -1)]
 
     def test_davis_layout_skips_non_dvs_records(self):
         data = (
@@ -171,7 +179,7 @@ class TestParseAedat2:
             + davis_record(239, 179, -1, 200)
         )
         stream, stats = parse_aedat2_stats(data, DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY)
-        assert list(stream) == [Event(10, 20, 100, 1), Event(239, 179, 200, -1)]
+        assert events(stream) == [(10, 20, 100, 1), (239, 179, 200, -1)]
         assert stats.skipped_non_dvs == 1
         assert stats.records == 3
         assert stats.events == 2
@@ -217,11 +225,11 @@ class TestAedatLayout:
 class TestParseText:
     def test_basic_line(self):
         stream = parse_text("100 2 18 1\n", DVS128_GEOMETRY)
-        assert list(stream) == [Event(x=2, y=18, t=100, p=1)]
+        assert events(stream) == [(2, 18, 100, 1)]
 
     def test_zero_polarity_reads_as_negative(self):
         stream = parse_text("100 2 18 0\n", DVS128_GEOMETRY)
-        assert stream[0].p == -1
+        assert int(stream.p[0]) == -1
 
     def test_empty_file(self):
         assert len(parse_text("", DVS128_GEOMETRY)) == 0
@@ -233,7 +241,7 @@ class TestParseText:
 
     def test_commas_accepted(self):
         stream = parse_text("100,2,18,1", DVS128_GEOMETRY)
-        assert stream[0] == Event(2, 18, 100, 1)
+        assert events(stream)[0] == (2, 18, 100, 1)
 
     def test_malformed_line_number(self):
         with pytest.raises(FormatError, match="line 2"):
@@ -270,7 +278,7 @@ class TestRoundTrip:
         assert parse_text(write_text(s), DVS128_GEOMETRY) == s
 
     def test_single_event_line(self):
-        s = EventStream.from_events(DVS128_GEOMETRY, [(2, 18, 100, 1)])
+        s = stream_of(DVS128_GEOMETRY, [(2, 18, 100, 1)])
         assert write_text(s) == "100 2 18 1\n"
 
     def test_random_streams_round_trip_exactly(self):
@@ -324,7 +332,7 @@ class TestWriteText:
     @example(numbered_events(ingest._TEXT_SLICE))
     @example(numbered_events(ingest._TEXT_SLICE + 1))
     def test_matches_the_per_line_writer(self, events):
-        s = EventStream.from_events(TEXT_GEOMETRY, sorted(events, key=lambda e: e[2]))
+        s = stream_of(TEXT_GEOMETRY, sorted(events, key=lambda e: e[2]))
         text = write_text(s)
         assert text == per_line_text(s)
         assert parse_text(text, TEXT_GEOMETRY) == s
@@ -399,7 +407,7 @@ class TestParserFuzz:
         layout, geometry = LAYOUTS[name]
         stream, stats = parse_aedat2_stats(aedat_bytes(header, name, records), layout, geometry)
         assert (stats.header_lines, stats.records) == (len(header), len(records))
-        assert list(stream) == [Event(x, y, t, p) for x, y, p, t, non_dvs in records if not non_dvs]
+        assert events(stream) == [(x, y, t, p) for x, y, p, t, non_dvs in records if not non_dvs]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(arbitrary_aedat, st.sampled_from(sorted(LAYOUTS)))

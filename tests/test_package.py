@@ -30,6 +30,16 @@ def test_block_forms_beside_whole_stream_functions():
     assert evframes.encode_stream is evframes.encoders.encode_stream
 
 
+def test_streams_are_read_as_columns_only():
+    # The per-event view and the invariant checker live in tests/oracles.py.
+    for name in ("Event", "Violation", "validate_stream"):
+        assert name not in evframes.__all__
+        assert not hasattr(evframes, name) and not hasattr(evframes.stream, name)
+    assert not hasattr(evframes.EventStream, "from_events")
+    assert not {"__iter__", "__getitem__"} & set(vars(evframes.EventStream))
+    assert not hasattr(evframes.Chunk, "all_empty")
+
+
 def test_readme_python_examples_run(tmp_path, monkeypatch):
     examples = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
     assert examples

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from evframes.ingest import parse_text, write_text
 from evframes.simulator import SimConfig, simulate
-from evframes.stream import validate_stream
-from tests.oracles import scalar_pixel_events, scene_events
+from tests.oracles import events, scalar_pixel_events, scene_events, validate_stream
 
 
 def single_pixel_scene(log_levels, times):
@@ -117,8 +116,8 @@ class TestAgainstScalarWalk:
                 if ev:
                     per_pixel[(xx, yy)] = ev
         got = {}
-        for e in out:
-            got.setdefault((e.x, e.y), []).append((e.t, e.p))
+        for x, y, t, p in events(out):
+            got.setdefault((x, y), []).append((t, p))
         assert got == per_pixel
 
 
@@ -184,8 +183,8 @@ class TestOutputOrdering:
         frames[1] = np.e  # one full decade of log range everywhere
         out = simulate(frames, [0, 1000], SimConfig(contrast_threshold=0.4))
         per_time = {}
-        for e in out:
-            per_time.setdefault(e.t, []).append(e.y * 2 + e.x)
+        for x, y, t, _ in events(out):
+            per_time.setdefault(t, []).append(y * 2 + x)
         for pixels in per_time.values():
             assert pixels == [0, 1, 2, 3]
 

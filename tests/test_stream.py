@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 from evframes.ingest import FormatError
 from evframes.stream import (
     DVS128_GEOMETRY,
-    Event,
     EventStream,
     SensorGeometry,
     truncate_blocks,
     truncate_by_ratio,
-    validate_stream,
 )
 
+from tests.oracles import events, stream_of, validate_stream
 
-def make_stream(events, geometry=DVS128_GEOMETRY):
-    return EventStream.from_events(geometry, events)
+
+def make_stream(evs, geometry=DVS128_GEOMETRY):
+    return stream_of(geometry, evs)
 
 
 def random_stream(rng, n, geometry=DVS128_GEOMETRY, span_us=1_000_000):
@@ -31,12 +31,12 @@ class TestEventStream:
     def test_empty(self):
         s = EventStream.empty(DVS128_GEOMETRY)
         assert len(s) == 0
-        assert list(s) == []
+        assert events(s) == []
 
     def test_indexing_returns_events(self):
         s = make_stream([(2, 18, 100, -1), (5, 7, 200, 1)])
-        assert s[0] == Event(2, 18, 100, -1)
-        assert s[1] == Event(5, 7, 200, 1)
+        assert events(s)[0] == (2, 18, 100, -1)
+        assert events(s)[1] == (5, 7, 200, 1)
 
     def test_columns_are_read_only(self):
         s = make_stream([(1, 1, 10, 1)])

@@ -4,6 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from evframes.encoders import encode_blocks
 from evframes.stream import DVS128_GEOMETRY, EventStream, truncate_by_ratio
 from evframes.windowing import EventWindow, WindowConfig, segment, segment_blocks
 
@@ -93,6 +94,17 @@ class TestSegment:
         s = make_stream([(0, 0, 9223372036854775000, 1), (1, 1, 9223372036854775800, -1)])
         with pytest.raises(ValueError, match="int64"):
             segment(s, WindowConfig(1000))
+
+    @pytest.mark.parametrize("tile", [segment_blocks, encode_blocks])
+    @pytest.mark.parametrize("cuts", [[], [1]], ids=["one-block", "two-blocks"])
+    def test_window_end_overflow_rejected_before_the_first_window(self, tile, cuts):
+        # 1.15e14 windows of 80 ms, the last ending past 2**63 - 1: the
+        # error comes before any of them, not after the last.
+        s = make_stream([(0, 0, 0, 1), (0, 0, 2**63 - 2, 1)])
+        edge = ((2**63 - 2) // 80_000 + 1) * 80_000
+        windows = tile(split(s, cuts), WindowConfig(80_000))
+        with pytest.raises(ValueError, match=f"last window would end at {edge}, beyond"):
+            next(windows)
 
     def test_last_edge_at_int64_max_accepted(self):
         top = 2**63 - 1

@@ -50,10 +50,10 @@ def make_chunks(frames: Sequence[EncodedFrame]) -> list[Chunk]:
     if len({(f.pixels.shape, f.kind, f.polarity_mode) for f in frames}) > 1:
         first = frames[0]
         for i, f in enumerate(frames[1:], start=1):
-            if (f.width, f.height, f.channels) != (first.width, first.height, first.channels):
+            if f.pixels.shape != first.pixels.shape:
+                (h, w, c), (h0, w0, c0) = f.pixels.shape, first.pixels.shape
                 raise ValueError(
-                    f"frame {i}: shape {f.width}x{f.height}x{f.channels} does not match "
-                    f"frame 0 ({first.width}x{first.height}x{first.channels})"
+                    f"frame {i}: shape {w}x{h}x{c} does not match frame 0 ({w0}x{h0}x{c0})"
                 )
             if f.kind != first.kind:
                 raise ValueError(f"frame {i}: kind {f.kind!r} does not match {first.kind!r}")

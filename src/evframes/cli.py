@@ -17,14 +17,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .chunking import POLICIES, POLICY_KEEP, select_chunks
-from .encoders import (
-    _CHANNELS,
-    KIND_EVENT_COUNT,
-    KIND_TIMESTAMP,
-    POLARITY_IGNORE,
-    POLARITY_MERGED,
-    encode_blocks,
-)
+from .encoders import _CHANNELS, KINDS, POLARITY_IGNORE, POLARITY_MERGED, encode_blocks
 from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pgm, write_ppm
 from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, TextReader, text_slices
 from .scoring import temporal_average_pool
@@ -36,7 +29,6 @@ _LAYOUTS = {
     "dvs128": (DVS128_LAYOUT, DVS128_GEOMETRY),
     "davis240c": (DAVIS240C_LAYOUT, DAVIS240C_GEOMETRY),
 }
-_KINDS = {"timestamp": KIND_TIMESTAMP, "count": KIND_EVENT_COUNT}
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +145,14 @@ def cmd_encode(args) -> int:
     output = Path(args.output)
     with _open_blocks(args) as reader, _replace_on_success(output) as f:
         config = WindowConfig(args.window_us)
-        frames = encode_blocks(reader, config, _KINDS[args.kind], args.polarity)
+        frames = encode_blocks(reader, config, args.kind, args.polarity)
         shape = (reader.geometry.height, reader.geometry.width, _CHANNELS[args.polarity])
         write_frame_tensor_to(f, frames, shape)
     if args.emit_images is not None:
         os.makedirs(args.emit_images, exist_ok=True)
         with open(output, "rb") as f:
             for i, frame in enumerate(FrameTensorReader(f).frames()):
-                if frame.channels == 1:
+                if frame.pixels.shape[2] == 1:
                     name, data = f"frame_{i:06d}.pgm", write_pgm(frame.pixels)
                 else:
                     name, data = f"frame_{i:06d}.ppm", write_ppm(frame.pixels)
@@ -275,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kind",
-        choices=sorted(_KINDS),
+        choices=sorted(KINDS),
         default="timestamp",
         help="per-pixel statistic: latest normalized timestamp, or event count",
     )

@@ -8,7 +8,7 @@ Two scalar fields are supported, optionally restricted to one polarity:
   [0, 1]; pixels without events are 0. When every event in the window shares
   one timestamp the denominator degenerates and active pixels are set to 1.0
   (the end of activity).
-* event count field: a per-pixel event histogram.
+* event count field (kind ``"count"``): a per-pixel event histogram.
 
 ``encode_window`` renders a window in polarity mode ``merged`` (positive
 events in channel 0, negative in channel 1, channel 2 zero, of a 3-channel
@@ -37,7 +37,7 @@ from .stream import EventStream, SensorGeometry
 from .windowing import EventWindow, WindowConfig, _close, _pieces
 
 KIND_TIMESTAMP = "timestamp"
-KIND_EVENT_COUNT = "event_count"
+KIND_EVENT_COUNT = "count"
 KINDS = (KIND_TIMESTAMP, KIND_EVENT_COUNT)
 
 POLARITY_MERGED = "merged"
@@ -59,18 +59,6 @@ class EncodedFrame:
     window_end: int
     empty: bool
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EncodedFrame):
             return NotImplemented
@@ -84,8 +72,9 @@ class EncodedFrame:
         )
 
     def __repr__(self) -> str:
+        height, width, channels = self.pixels.shape
         return (
-            f"EncodedFrame({self.width}x{self.height}x{self.channels}, {self.kind}, "
+            f"EncodedFrame({width}x{height}x{channels}, {self.kind}, "
             f"{self.polarity_mode}, [{self.window_start}, {self.window_end}))"
         )
 
@@ -233,15 +222,16 @@ def encode_blocks(
 ) -> Iterator[EncodedFrame]:
     """Lazily encode a stream that arrives as blocks, one frame per window.
 
-    Windows are tiled as :func:`segment_blocks` tiles them. A window is
-    kept as block pieces until it holds more events than its frame has
-    cells; then its events are folded into one int64 per cell, the latest
-    tick (timestamp) or the count (count), and only the active cells are
-    quantized when it closes. Memory is thus bounded by a block or two and
-    one int64 per frame cell, whatever the window length. The fold gives
-    the same pixels: quantize of the normalized time is non-decreasing, so
-    a cell's largest quantized value is that of its latest tick, and every
-    event of a cell carries the cell's count.
+    Windows are tiled, and a stream with too many windows is refused, as
+    :func:`segment_blocks` does it. A window is kept as block pieces until
+    it holds more events than its frame has cells; then its events are
+    folded into one int64 per cell, the latest tick (timestamp) or the
+    count (count), and only the active cells are quantized when it closes.
+    Memory is thus bounded by a block or two and one int64 per frame cell,
+    whatever the window length. The fold gives the same pixels: quantize of
+    the normalized time is non-decreasing, so a cell's largest quantized
+    value is that of its latest tick, and every event of a cell carries the
+    cell's count.
     """
     _check_modes(kind, polarity_mode)
     return _encode_blocks(blocks, config.window_length_us, kind, polarity_mode)

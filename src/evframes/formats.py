@@ -47,6 +47,7 @@ import numpy as np
 from .encoders import EncodedFrame
 from .ingest import FormatError, _check_utf8
 from .scoring import ScoreVector
+from .stream import MAX_FRAME_COUNT
 
 FRAME_TENSOR_MAGIC = b"EVFR"
 FRAME_TENSOR_VERSION = 1
@@ -59,9 +60,6 @@ _FRAME_PREFIX = struct.Struct("<qqB")
 _PREFIX_RECORD = np.dtype(
     [(name, "<" + code) for name, code in zip(("start", "end", "empty"), _FRAME_PREFIX.format[1:])]
 )
-
-# frame_count is a u32 in format version 1.
-MAX_FRAME_COUNT = (1 << 32) - 1
 
 
 @dataclass

@@ -19,6 +19,8 @@ import numpy as np
 
 # Largest timestamp (us) an int64 column, and the frame tensor's window edges, can hold.
 MAX_TIMESTAMP_US = int(np.iinfo(np.int64).max)
+# Most frames a frame tensor holds: frame_count is a u32 in format version 1.
+MAX_FRAME_COUNT = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,11 @@ class SensorGeometry:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"geometry must be at least 1x1, got {self.width}x{self.height}")
+        side = int(np.iinfo(np.int32).max)  # so that every in-bounds x and y fits its column
+        if max(self.width, self.height) > side:
+            raise ValueError(
+                f"geometry sides must be at most {side}, got {self.width}x{self.height}"
+            )
 
 
 DVS128_GEOMETRY = SensorGeometry(128, 128)
@@ -40,7 +47,7 @@ DAVIS240C_GEOMETRY = SensorGeometry(240, 180)
 class EventStream:
     """A finite, time-ordered sequence of events plus the sensor geometry.
 
-    Columns are kept as read-only numpy arrays (x, y: int32; t: int64 us;
+    Columns are kept as read-only 1-D numpy arrays (x, y: int32; t: int64 us;
     p: int8 in {+1, -1}). Construction does not enforce the invariants
     (sorted timestamps, in-bounds coordinates, legal polarity): the readers
     and the simulator enforce them, and the tests check them
@@ -60,16 +67,12 @@ class EventStream:
             raise ValueError("event columns must have equal length")
 
     @classmethod
-    def empty(cls, geometry: SensorGeometry) -> "EventStream":
-        return cls(geometry, [], [], [], [])
-
-    @classmethod
     def concat(cls, geometry: SensorGeometry, parts: list["EventStream"]) -> "EventStream":
         """Join consecutive pieces of one stream; a single piece is returned as is."""
         if len(parts) == 1:
             return parts[0]
         if not parts:
-            return cls.empty(geometry)
+            return cls(geometry, [], [], [], [])
         columns = zip(*((s.x, s.y, s.t, s.p) for s in parts))
         return cls(geometry, *(np.concatenate(c) for c in columns))
 
@@ -107,7 +110,7 @@ class EventStream:
 def _column(values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     if arr.ndim != 1:
-        arr = arr.reshape(-1)
+        raise ValueError(f"event columns must be one-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 

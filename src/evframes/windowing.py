@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
+from .stream import MAX_FRAME_COUNT, MAX_TIMESTAMP_US, EventStream, SensorGeometry
 
 DEFAULT_WINDOW_US = 80_000
 
@@ -92,8 +92,9 @@ def segment(stream: EventStream, config: WindowConfig = WindowConfig()) -> list[
 
     Window k covers [t_first + k*T, t_first + (k+1)*T); every event lands in
     exactly one window and the window count is ceil((t_last - t_first + 1)/T).
-    An empty stream yields no windows. Raises ValueError when the last
-    window's end would not fit in int64.
+    An empty stream yields no windows. Raises ValueError, before the first
+    window, when the last window's end would not fit in int64 or there would
+    be more windows than a frame tensor holds (``MAX_FRAME_COUNT``).
     """
     return list(segment_blocks([stream], config))
 
@@ -141,12 +142,18 @@ def _pieces(blocks: Iterable[EventStream], T: int) -> Iterator[tuple]:
         t_last = block.t_last
         k_last = (t_last - t_first) // T
         # Python ints cannot wrap; the int64 edges (and the frame tensor) can.
-        # So the end of the block's last window is checked before its first.
+        # So the end of the block's last window, and the window count, are
+        # checked before its first window.
         last_edge = t_first + (k_last + 1) * T
         if last_edge > MAX_TIMESTAMP_US:
             raise ValueError(
                 f"last window would end at {last_edge}, beyond the int64 range "
                 f"(events {t_first}..{t_last}, window {T} us)"
+            )
+        if k_last + 1 > MAX_FRAME_COUNT:
+            raise ValueError(
+                f"stream would need {k_last + 1} windows, more than the {MAX_FRAME_COUNT} "
+                f"frames of a frame tensor (events {t_first}..{t_last}, window {T} us)"
             )
         lo = 0
         while k < k_last:

@@ -21,7 +21,7 @@ def stream_of(geometry, tuples):
     """A stream built from an iterable of (x, y, t, p) tuples."""
     ev = list(tuples)
     if not ev:
-        return EventStream.empty(geometry)
+        return EventStream(geometry, [], [], [], [])
     arr = np.asarray(ev, dtype=np.int64)
     return EventStream(geometry, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 

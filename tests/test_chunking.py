@@ -8,7 +8,7 @@ from evframes.chunking import (
     make_chunks,
     select_chunks,
 )
-from evframes.encoders import KIND_TIMESTAMP, EncodedFrame
+from evframes.encoders import KIND_EVENT_COUNT, KIND_TIMESTAMP, EncodedFrame
 
 
 def make_frame(i, empty=False, shape=(4, 4, 3), kind=KIND_TIMESTAMP, polarity_mode="merged"):
@@ -57,7 +57,7 @@ class TestMakeChunks:
 
     def test_mixed_kind_rejected(self):
         fs = frames(3)
-        fs[1] = make_frame(1, kind="event_count")
+        fs[1] = make_frame(1, kind=KIND_EVENT_COUNT)
         with pytest.raises(ValueError, match="frame 1.*kind"):
             make_chunks(fs)
 
@@ -71,7 +71,7 @@ class TestMakeChunks:
 
     def test_first_of_several_mismatches_is_named(self):
         fs = frames(5)
-        fs[4] = make_frame(4, kind="event_count")
+        fs[4] = make_frame(4, kind=KIND_EVENT_COUNT)
         fs[2] = make_frame(2, shape=(4, 5, 3))
         with pytest.raises(ValueError, match=r"^frame 2: shape 5x4x3 does not match frame 0 \(4x4x3\)$"):
             make_chunks(fs)

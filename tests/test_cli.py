@@ -685,6 +685,27 @@ class TestExitCodes:
         ))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.txt"]
 
+    def test_more_windows_than_a_tensor_holds_fails_before_writing(self, tmp_path):
+        # 16 bytes: two DVS-128 records 2**32 - 1 ticks apart, so 2**32 windows
+        # of 1 us, one more than a frame tensor holds. The child is limited as
+        # in the test above.
+        src = tmp_path / "span.aedat"
+        src.write_bytes(dvs128_record(0, 0, 1, 0) + dvs128_record(0, 0, 1, 2**32 - 1))
+        out = tmp_path / "span.evfr"
+        proc = subprocess.run(
+            [sys.executable, "-m", "evframes", "encode", str(src), str(out), "--window-us", "1"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+            "evframes: stream would need 4294967296 windows, more than the 4294967295 frames "
+            "of a frame tensor (events 0..4294967295, window 1 us)\n"
+        ))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["span.aedat"]
+
     def test_bad_coordinate_in_later_block_leaves_no_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK_RECORDS", 2)
         src = tmp_path / "rec.aedat"
@@ -711,6 +732,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run("info", tmp_path / "x.txt", "--geometry", "wide")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["info", "encode"])
+    def test_geometry_beyond_int32_columns_is_usage_error(self, tmp_path, capsys, command):
+        src = tmp_path / "big.txt"
+        src.write_text("0 3000000000 0 1\n")
+        argv = [command, src] + ([tmp_path / "frames.evfr"] if command == "encode" else [])
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--geometry", "4000000000x1")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "error: argument --geometry: geometry must look like 320x240, got '4000000000x1'\n"
+        )
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
 
     def test_console_script_installed(self, tmp_path):
         src = tmp_path / "ev.txt"

@@ -233,7 +233,7 @@ class TestEncodeMerged:
     def test_positive_only_leaves_channel1_zero(self):
         w = window_from_events([(1, 1, 10, 1), (2, 2, 20, 1)], 0, 100, GEOM)
         frame = encode_window(w, KIND_TIMESTAMP, POLARITY_MERGED)
-        assert frame.channels == 3
+        assert frame.pixels.shape[2] == 3
         assert frame.pixels[..., 1].sum() == 0
         assert frame.pixels[..., 2].sum() == 0
         assert frame.pixels[..., 0].max() == 255
@@ -288,7 +288,7 @@ class TestEncodeSingle:
     def test_one_channel(self):
         w = window_from_events([(1, 1, 10, 1), (1, 1, 20, -1)], 0, 100, GEOM)
         frame = encode_window(w, KIND_EVENT_COUNT, POLARITY_IGNORE)
-        assert frame.channels == 1
+        assert frame.pixels.shape[2] == 1
         assert frame.polarity_mode == "ignore"
         assert frame.pixels[1, 1, 0] == 255  # count 2 of max 2
 
@@ -333,8 +333,8 @@ class TestFrameInvariants:
                 encode_window(w, KIND_EVENT_COUNT, POLARITY_IGNORE),
             ):
                 assert frame.pixels.dtype == np.uint8
-                assert frame.width == w.geometry.width
-                assert frame.height == w.geometry.height
+                assert frame.pixels.shape[1] == w.geometry.width
+                assert frame.pixels.shape[0] == w.geometry.height
 
     def test_frame_equality(self):
         w = window_from_events([(1, 1, 10, 1)], 0, 100, GEOM)

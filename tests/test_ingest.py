@@ -273,7 +273,7 @@ class TestParseText:
 
 class TestRoundTrip:
     def test_empty_stream(self):
-        s = EventStream.empty(DVS128_GEOMETRY)
+        s = stream_of(DVS128_GEOMETRY, [])
         assert write_text(s) == ""
         assert parse_text(write_text(s), DVS128_GEOMETRY) == s
 

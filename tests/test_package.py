@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import evframes
+import evframes.cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,6 +39,16 @@ def test_streams_are_read_as_columns_only():
     assert not hasattr(evframes.EventStream, "from_events")
     assert not {"__iter__", "__getitem__"} & set(vars(evframes.EventStream))
     assert not hasattr(evframes.Chunk, "all_empty")
+
+
+def test_one_name_for_a_frame_shape_an_empty_stream_and_the_count_kind():
+    # A frame's shape is pixels.shape, an empty stream is the constructor's,
+    # and the library and the CLI spell the count kind alike.
+    for name in ("height", "width", "channels"):
+        assert not hasattr(evframes.EncodedFrame, name)
+    assert not hasattr(evframes.EventStream, "empty")
+    assert not hasattr(evframes.cli, "_KINDS")
+    assert evframes.KIND_EVENT_COUNT == "count"
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ def random_stream(rng, n, geometry=DVS128_GEOMETRY, span_us=1_000_000):
 
 class TestEventStream:
     def test_empty(self):
-        s = EventStream.empty(DVS128_GEOMETRY)
+        s = stream_of(DVS128_GEOMETRY, [])
         assert len(s) == 0
         assert events(s) == []
 
@@ -51,10 +51,28 @@ class TestEventStream:
         with pytest.raises(ValueError):
             SensorGeometry(0, 128)
 
+    @pytest.mark.parametrize("size", [(2**31, 1), (1, 2**31), (4_000_000_000, 1)])
+    def test_geometry_must_fit_int32_columns(self, size):
+        with pytest.raises(ValueError, match=r"^geometry sides must be at most 2147483647, got "):
+            SensorGeometry(*size)
+        # At the largest geometry, the last in-bounds coordinate fits its column.
+        g = SensorGeometry(2**31 - 1, 2**31 - 1)
+        assert events(EventStream(g, [2**31 - 2], [2**31 - 2], [0], [1])) == [
+            (2**31 - 2, 2**31 - 2, 0, 1)
+        ]
+
+    @pytest.mark.parametrize("i", range(4), ids=["x", "y", "t", "p"])
+    def test_columns_must_be_one_dimensional(self, i):
+        columns = [[1, 2], [3, 4], [10, 20], [1, -1]]
+        columns[i] = [columns[i]]  # shape (1, 2)
+        message = r"^event columns must be one-dimensional, got shape \(1, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            EventStream(DVS128_GEOMETRY, *columns)
+
 
 class TestValidateStream:
     def test_empty_stream_is_valid(self):
-        assert validate_stream(EventStream.empty(DVS128_GEOMETRY)) == []
+        assert validate_stream(stream_of(DVS128_GEOMETRY, [])) == []
 
     def test_non_monotone_timestamp(self):
         s = make_stream([(0, 0, 5, 1), (0, 0, 3, 1)])
@@ -104,7 +122,7 @@ class TestTruncateByRatio:
 
     def test_empty_stream_error(self):
         with pytest.raises(ValueError, match="cannot truncate empty stream"):
-            truncate_by_ratio(EventStream.empty(DVS128_GEOMETRY), 0.5)
+            truncate_by_ratio(stream_of(DVS128_GEOMETRY, []), 0.5)
 
     def test_ratio_out_of_range(self):
         s = make_stream([(0, 0, 0, 1)])
@@ -227,7 +245,7 @@ class TestTruncateBlocks:
 
         with pytest.raises(FormatError, match="line 9"):
             truncate_blocks(Failing(), 0.5)
-        empty = [EventStream.empty(DVS128_GEOMETRY)] * 3
+        empty = [stream_of(DVS128_GEOMETRY, [])] * 3
         with pytest.raises(ValueError, match="cannot truncate empty stream"):
             truncate_blocks(empty, 0.5)
         with pytest.raises(ValueError, match=r"ratio must be in \(0, 1\], got 1.5"):

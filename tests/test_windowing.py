@@ -4,9 +4,12 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from evframes import windowing
 from evframes.encoders import encode_blocks
 from evframes.stream import DVS128_GEOMETRY, EventStream, truncate_by_ratio
 from evframes.windowing import EventWindow, WindowConfig, segment, segment_blocks
+
+from tests.oracles import stream_of
 
 from .test_stream import make_stream, random_stream
 
@@ -28,7 +31,7 @@ class TestWindowConfig:
 
 class TestSegment:
     def test_empty_stream(self):
-        assert segment(EventStream.empty(DVS128_GEOMETRY), WindowConfig()) == []
+        assert segment(stream_of(DVS128_GEOMETRY, []), WindowConfig()) == []
 
     def test_both_events_inside_one_window(self):
         s = make_stream([(0, 0, 0, 1), (0, 0, 79_999, 1)])
@@ -104,6 +107,22 @@ class TestSegment:
         edge = ((2**63 - 2) // 80_000 + 1) * 80_000
         windows = tile(split(s, cuts), WindowConfig(80_000))
         with pytest.raises(ValueError, match=f"last window would end at {edge}, beyond"):
+            next(windows)
+
+    @pytest.mark.parametrize("tile", [segment_blocks, encode_blocks])
+    @pytest.mark.parametrize("cuts", [[], [1]], ids=["one-block", "two-blocks"])
+    def test_more_windows_than_a_tensor_holds_rejected_before_the_first(
+        self, tile, cuts, monkeypatch
+    ):
+        monkeypatch.setattr(windowing, "MAX_FRAME_COUNT", 3)
+        three = make_stream([(0, 0, 0, 1), (0, 0, 2_999, 1)])
+        assert len(list(tile(split(three, cuts), WindowConfig(1000)))) == 3
+        five = make_stream([(0, 0, 0, 1), (0, 0, 4_999, 1)])
+        windows = tile(split(five, cuts), WindowConfig(1000))
+        with pytest.raises(ValueError, match=(
+            r"^stream would need 5 windows, more than the 3 frames of a frame tensor "
+            r"\(events 0\.\.4999, window 1000 us\)$"
+        )):
             next(windows)
 
     def test_last_edge_at_int64_max_accepted(self):

@@ -37,8 +37,7 @@ from .formats import (
     read_frame_tensor,
     write_frame_tensor,
     write_frame_tensor_to,
-    write_pgm,
-    write_ppm,
+    write_pnm,
     write_scores,
 )
 from .ingest import (
@@ -64,7 +63,7 @@ from .stream import (
     truncate_blocks,
     truncate_by_ratio,
 )
-from .windowing import DEFAULT_WINDOW_US, EventWindow, WindowConfig, segment, segment_blocks
+from .windowing import DEFAULT_WINDOW_US, EventWindow, WindowConfig, segment
 
 __version__ = "0.1.0"
 
@@ -113,7 +112,6 @@ __all__ = [
     "quantize",
     "read_frame_tensor",
     "segment",
-    "segment_blocks",
     "select_chunks",
     "simulate",
     "temporal_average_pool",
@@ -122,8 +120,7 @@ __all__ = [
     "truncate_by_ratio",
     "write_frame_tensor",
     "write_frame_tensor_to",
-    "write_pgm",
-    "write_ppm",
+    "write_pnm",
     "write_scores",
     "write_text",
     "__version__",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chunking import POLICIES, POLICY_KEEP, select_chunks
 from .encoders import _CHANNELS, KINDS, POLARITY_IGNORE, POLARITY_MERGED, encode_blocks
-from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pgm, write_ppm
+from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pnm
 from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, TextReader, text_slices
 from .scoring import temporal_average_pool
 from .simulator import SimConfig, check_frame_times, simulate_intervals
@@ -38,38 +38,35 @@ _LAYOUTS = {
 
 def _geometry_arg(text: str) -> SensorGeometry:
     try:
-        w, h = text.lower().split("x")
-        return SensorGeometry(int(w), int(h))
-    except (ValueError, TypeError):
+        w, h = map(int, text.lower().split("x"))
+    except ValueError:
         raise argparse.ArgumentTypeError(f"geometry must look like 320x240, got {text!r}") from None
+    try:
+        return SensorGeometry(w, h)
+    except ValueError as exc:  # the library states the range
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _flag_value(convert, accept, rule: str):
+    """A flag value's parser; text that does not convert breaks the rule, as a bad value does."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _ratio(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"ratio must be in (0, 1], got {text}")
-    return value
+_positive_int = _flag_value(int, lambda v: v > 0, "must be a positive integer")
+_non_negative_int = _flag_value(int, lambda v: v >= 0, "must be >= 0")
+_positive_float = _flag_value(float, lambda v: v > 0, "must be > 0")
+_ratio = _flag_value(float, lambda v: 0.0 < v <= 1.0, "ratio must be in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +139,20 @@ def _add_stream_input(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_encode(args) -> int:
-    output = Path(args.output)
-    with _open_blocks(args) as reader, _replace_on_success(output) as f:
+    with _open_blocks(args) as reader, _replace_on_success(Path(args.output)) as f:
         config = WindowConfig(args.window_us)
         frames = encode_blocks(reader, config, args.kind, args.polarity)
         shape = (reader.geometry.height, reader.geometry.width, _CHANNELS[args.polarity])
         write_frame_tensor_to(f, frames, shape)
-    if args.emit_images is not None:
-        os.makedirs(args.emit_images, exist_ok=True)
-        with open(output, "rb") as f:
-            for i, frame in enumerate(FrameTensorReader(f).frames()):
-                if frame.pixels.shape[2] == 1:
-                    name, data = f"frame_{i:06d}.pgm", write_pgm(frame.pixels)
-                else:
-                    name, data = f"frame_{i:06d}.ppm", write_ppm(frame.pixels)
-                Path(args.emit_images, name).write_bytes(data)
+        if args.emit_images is not None:
+            # Before the tensor replaces the output, so that a failure here leaves it as it was.
+            f.flush()
+            os.makedirs(args.emit_images, exist_ok=True)
+            suffix = "pgm" if shape[2] == 1 else "ppm"
+            with open(f.name, "rb") as written:
+                for i, frame in enumerate(FrameTensorReader(written).frames()):
+                    image = Path(args.emit_images, f"frame_{i:06d}.{suffix}")
+                    image.write_bytes(write_pnm(frame.pixels))
     return 0
 
 

@@ -223,10 +223,10 @@ def encode_blocks(
     """Lazily encode a stream that arrives as blocks, one frame per window.
 
     Windows are tiled, and a stream with too many windows is refused, as
-    :func:`segment_blocks` does it. A window is kept as block pieces until
-    it holds more events than its frame has cells; then its events are
-    folded into one int64 per cell, the latest tick (timestamp) or the
-    count (count), and only the active cells are quantized when it closes.
+    ``windowing.segment`` does it. A window is kept as block pieces until it
+    holds more events than its frame has cells; then its events are folded
+    into one int64 per cell, the latest tick (timestamp) or the count
+    (count), and only the active cells are quantized when it closes.
     Memory is thus bounded by a block or two and one int64 per frame cell,
     whatever the window length. The fold gives the same pixels: quantize of
     the normalized time is non-decreasing, so a cell's largest quantized

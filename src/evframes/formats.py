@@ -353,21 +353,12 @@ def _parse_score_header(line: str, lineno: int) -> tuple[int, list[str] | None]:
 # ---------------------------------------------------------------------------
 
 
-def write_pgm(pixels: np.ndarray) -> bytes:
-    """Encode an (H, W) or (H, W, 1) uint8 array as binary PGM (P5)."""
-    if pixels.ndim == 3 and pixels.shape[2] == 1:
-        pixels = pixels[:, :, 0]
-    if pixels.ndim != 2:
-        raise ValueError(f"PGM needs one channel, got shape {pixels.shape}")
-    height, width = pixels.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    return header + np.ascontiguousarray(pixels, dtype=np.uint8).tobytes()
-
-
-def write_ppm(pixels: np.ndarray) -> bytes:
-    """Encode an (H, W, 3) uint8 array as binary PPM (P6)."""
-    if pixels.ndim != 3 or pixels.shape[2] != 3:
-        raise ValueError(f"PPM needs three channels, got shape {pixels.shape}")
-    height, width = pixels.shape[:2]
-    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+def write_pnm(pixels: np.ndarray) -> bytes:
+    """Encode (H, W) or (H, W, 1) uint8 pixels as binary PGM (P5), (H, W, 3) as PPM (P6)."""
+    if pixels.ndim == 2:
+        pixels = pixels[:, :, None]
+    if pixels.ndim != 3 or pixels.shape[2] not in (1, 3):
+        raise ValueError(f"PNM needs one or three channels, got shape {pixels.shape}")
+    height, width, channels = pixels.shape
+    header = f"{'P5' if channels == 1 else 'P6'}\n{width} {height}\n255\n".encode("ascii")
     return header + np.ascontiguousarray(pixels, dtype=np.uint8).tobytes()

@@ -5,10 +5,9 @@ timestamp, so output does not depend on the device clock origin. Interior
 windows that happen to contain no events are still emitted (flagged empty)
 to keep the frame cadence uniform for downstream chunking.
 
-:func:`segment_blocks` tiles a stream read in blocks, holding only the open
-window's events. ``encoders.encode_blocks``, and with it ``encode_stream``,
-shares its tiling loop, ``_pieces``, and folds a window with more events
-than its frame has cells.
+A stream read in blocks is tiled by ``_pieces``, which holds only the open
+window's events; ``encoders.encode_blocks``, and with it ``encode_stream``,
+encodes its windows and folds one with more events than its frame has cells.
 """
 
 from __future__ import annotations
@@ -96,28 +95,9 @@ def segment(stream: EventStream, config: WindowConfig = WindowConfig()) -> list[
     window, when the last window's end would not fit in int64 or there would
     be more windows than a frame tensor holds (``MAX_FRAME_COUNT``).
     """
-    return list(segment_blocks([stream], config))
-
-
-def segment_blocks(
-    blocks: Iterable[EventStream], config: WindowConfig = WindowConfig()
-) -> Iterator[EventWindow]:
-    """Lazily tile a stream that arrives as consecutive blocks, as :func:`segment` does.
-
-    A window is yielded as soon as a later event (or the end of the blocks)
-    closes it. The open window is kept as one piece per block and joined
-    once when it closes; a piece that is only part of its block is copied
-    first, so that the rest of the block can go. A window thus holds all
-    of its events at once (``encoders.encode_blocks`` folds long windows
-    instead).
-    """
     T = config.window_length_us
-    pieces = []
-    for geometry, start, piece in _pieces(blocks, T):
-        pieces.append(piece)
-        if start is not None:
-            yield _close(geometry, pieces, start, T)
-            pieces = []
+    # A single block's window is one piece, so no window needs a join.
+    return [EventWindow(g, *piece, start, start + T) for g, start, piece in _pieces([stream], T)]
 
 
 def _pieces(blocks: Iterable[EventStream], T: int) -> Iterator[tuple]:

@@ -9,6 +9,7 @@ events than their frames have cells, so ``encode_blocks`` folds them.
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,6 @@ from evframes.encoders import (
     POLARITY_MERGED,
     encode_blocks,
     encode_stream,
-    encode_window,
 )
 from evframes.formats import write_frame_tensor, write_frame_tensor_to
 from evframes.ingest import (
@@ -32,7 +32,7 @@ from evframes.ingest import (
     parse_aedat2_stats,
 )
 from evframes.stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry
-from evframes.windowing import WindowConfig, segment, segment_blocks
+from evframes.windowing import WindowConfig, segment
 
 from tests.oracles import encode_per_window
 from tests.test_ingest import HEADER, davis_record, dvs128_record
@@ -73,9 +73,6 @@ def assert_matches_one_block(data, layout, geometry, block, window=WINDOW):
                 parse_aedat2_stats(data, layout, geometry)
             assert str(exc.value) == whole
             with pytest.raises(FormatError) as exc:
-                list(segment_blocks(AedatReader(io.BytesIO(data), layout, geometry), window))
-            assert str(exc.value) == whole
-            with pytest.raises(FormatError) as exc:
                 list(encode_blocks(AedatReader(io.BytesIO(data), layout, geometry), window))
             assert str(exc.value) == whole
             return
@@ -84,16 +81,13 @@ def assert_matches_one_block(data, layout, geometry, block, window=WINDOW):
         reader, blocks = blocks_of(data, layout, geometry)
         assert all(len(b) <= block for b in blocks)
         assert reader.stats == stats
-        windows = list(segment_blocks(blocks, window))
-        assert windows == segment(stream, window)
         for kind, mode in MODES:
-            frames = [encode_window(w, kind, mode) for w in windows]
+            # segment's windows, each scattered by encode_window: the unfolded reference.
             expected = encode_per_window(stream, window, kind, mode)
-            assert frames == expected
             assert encode_stream(stream, window, kind, mode) == expected
             shape = (geometry.height, geometry.width, 3 if mode == POLARITY_MERGED else 1)
             out = io.BytesIO()
-            assert write_frame_tensor_to(out, iter(frames), shape) == len(frames)
+            assert write_frame_tensor_to(out, iter(expected), shape) == len(expected)
             assert out.getvalue() == write_frame_tensor(expected, shape)
             out = io.BytesIO()
             write_frame_tensor_to(out, encode_blocks(blocks, window, kind, mode), shape)
@@ -235,8 +229,10 @@ class TestBoundaries:
             mp.setattr(ingest, "_BLOCK_RECORDS", 3)
             _, blocks = blocks_of(data, DVS128_LAYOUT, DVS128_GEOMETRY)
         assert len(blocks) == 4
-        windows = list(segment_blocks(blocks, WINDOW))
-        assert len(windows) == 1 and list(windows[0].t) == [5 * i for i in range(10)]
+        frames = list(encode_blocks(blocks, WINDOW, KIND_EVENT_COUNT, POLARITY_MERGED))
+        assert [(f.window_start, f.empty) for f in frames] == [(0, False)]
+        # One positive event at each (i, 1), all in the one window.
+        assert np.flatnonzero(frames[0].pixels[..., 0]).tolist() == [128 + i for i in range(10)]
 
     def test_empty_windows_between_blocks(self):
         ticks = [0, 10, 1000, 1010, 1020, 5000]
@@ -246,16 +242,16 @@ class TestBoundaries:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_BLOCK_RECORDS", 2)
             _, blocks = blocks_of(data, DVS128_LAYOUT, DVS128_GEOMETRY)
-        windows = list(segment_blocks(blocks, WINDOW))
-        assert len(windows) == 51
-        assert [k for k, w in enumerate(windows) if not w.empty] == [0, 10, 50]
+        frames = list(encode_blocks(blocks, WINDOW))
+        assert len(frames) == 51
+        assert [k for k, f in enumerate(frames) if not f.empty] == [0, 10, 50]
 
     @pytest.mark.parametrize("data", [b"", HEADER], ids=["empty", "header_only"])
     def test_no_records(self, data):
         assert_matches_one_block(data, DVS128_LAYOUT, DVS128_GEOMETRY, 1)
         reader, blocks = blocks_of(data, DVS128_LAYOUT, DVS128_GEOMETRY)
         assert blocks == []
-        assert list(segment_blocks(blocks)) == []
+        assert list(encode_blocks(blocks)) == []
         assert reader.stats == ingest.ParseStats(data.count(b"\n"), 0, 0, 0, 0)
 
 

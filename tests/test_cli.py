@@ -20,8 +20,7 @@ from evframes.formats import (
     read_frame_tensor,
     write_frame_tensor,
     write_frame_tensor_to,
-    write_pgm,
-    write_ppm,
+    write_pnm,
     write_scores,
 )
 from evframes.ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, parse_aedat2, parse_text, write_text
@@ -223,17 +222,17 @@ class TestEncode:
         assert results[0] == results[1]
         assert len(results[0][1]) == len(read_frame_tensor(results[0][0]).frames) > 10
 
-    @pytest.mark.parametrize("polarity,image", [("merged", write_ppm), ("ignore", write_pgm)])
-    def test_emitted_images_are_the_tensor_frames(self, tmp_path, polarity, image):
+    @pytest.mark.parametrize("polarity,suffix", [("merged", "ppm"), ("ignore", "pgm")])
+    def test_emitted_images_are_the_tensor_frames(self, tmp_path, polarity, suffix):
         src = tmp_path / "rec.aedat"
         davis_file(src, 500)
         out, imgs = tmp_path / "frames.evfr", tmp_path / "imgs"
         argv = ("--layout", "davis240c", "--window-us", 2000, "--polarity", polarity)
         assert run("encode", src, out, *argv, "--emit-images", imgs) == 0
         frames = read_frame_tensor(out.read_bytes()).frames
-        assert [p.read_bytes() for p in sorted(imgs.iterdir())] == [
-            image(f.pixels) for f in frames
-        ]
+        images = sorted(imgs.iterdir())
+        assert [p.name for p in images] == [f"frame_{i:06d}.{suffix}" for i in range(len(frames))]
+        assert [p.read_bytes() for p in images] == [write_pnm(f.pixels) for f in frames]
         assert len(frames) > 5
 
     def test_frame_count_limit_is_data_error(self, tmp_path, capsys, monkeypatch):
@@ -743,10 +742,51 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.endswith(
-            "error: argument --geometry: geometry must look like 320x240, got '4000000000x1'\n"
+            "error: argument --geometry: geometry sides must be at most 2147483647, "
+            "got 4000000000x1\n"
         )
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("encode", "--window-us", "1e3", "must be a positive integer, got 1e3"),
+        ("encode", "--window-us", "0", "must be a positive integer, got 0"),
+        ("simulate", "--threshold", "x", "must be > 0, got x"),
+        ("simulate", "--threshold", "nan", "must be > 0, got nan"),
+        ("simulate", "--refractory-us", "1.5", "must be >= 0, got 1.5"),
+        ("simulate", "--refractory-us", "-1", "must be >= 0, got -1"),
+        ("truncate", "--ratio", "abc", "ratio must be in (0, 1], got abc"),
+        ("truncate", "--ratio", "1.5", "ratio must be in (0, 1], got 1.5"),
+        ("info", "--geometry", "wide", "geometry must look like 320x240, got 'wide'"),
+        ("encode", "--geometry", "0x5", "geometry must be at least 1x1, got 0x5"),
+    ], ids=[f"{flag}-{case}" for flag in ("window-us", "threshold", "refractory-us", "ratio",
+                                          "geometry") for case in ("unparsed", "out-of-range")])
+    def test_flag_errors_state_the_rule(self, tmp_path, capsys, command, flag, value, message):
+        src = tmp_path / "in"
+        src.write_text("0 1 1 1\n")
+        outputs = [] if command == "info" else [tmp_path / "out"]
+        extra = ["--ratio", "1"] if command == "truncate" and flag != "--ratio" else []
+        with pytest.raises(SystemExit) as exc:
+            run(command, src, *outputs, *extra, flag, value)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f" error: argument {flag}: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+    @pytest.mark.parametrize("blocker", ["dir-is-a-file", "image-is-a-dir"])
+    def test_failed_image_leaves_the_output_as_it_was(self, tmp_path, capsys, blocker):
+        src, out, imgs = tmp_path / "ev.txt", tmp_path / "out.evfr", tmp_path / "imgs"
+        write_events(src, ["0 1 1 1", "10 2 2 0"])
+        out.write_bytes(b"old")
+        if blocker == "dir-is-a-file":
+            imgs.touch()
+            error = f"[Errno 17] File exists: '{imgs}'"
+        else:
+            (imgs / "frame_000000.ppm").mkdir(parents=True)
+            error = f"[Errno 21] Is a directory: '{imgs / 'frame_000000.ppm'}'"
+        assert run("encode", src, out, "--geometry", "4x4", "--emit-images", imgs) == 1
+        assert capsys.readouterr().err == f"evframes: {error}\n"
+        assert out.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.txt", "imgs", "out.evfr"]
 
     def test_console_script_installed(self, tmp_path):
         src = tmp_path / "ev.txt"

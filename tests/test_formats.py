@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import struct
 import sys
 
@@ -18,8 +19,7 @@ from evframes.formats import (
     read_frame_tensor,
     write_frame_tensor,
     write_frame_tensor_to,
-    write_pgm,
-    write_ppm,
+    write_pnm,
     write_scores,
 )
 from evframes.ingest import FormatError
@@ -556,20 +556,19 @@ class TestScoreFileFuzz:
 class TestPortableImages:
     def test_pgm_header_and_raster(self):
         pixels = np.arange(6, dtype=np.uint8).reshape(2, 3)
-        data = write_pgm(pixels)
+        data = write_pnm(pixels)
         assert data == b"P5\n3 2\n255\n" + bytes(range(6))
 
     def test_pgm_accepts_single_channel_3d(self):
-        pixels = np.zeros((2, 2, 1), dtype=np.uint8)
-        assert write_pgm(pixels).startswith(b"P5\n2 2\n")
+        pixels = np.arange(6, dtype=np.uint8).reshape(2, 3, 1)
+        assert write_pnm(pixels) == write_pnm(pixels[:, :, 0])
 
     def test_ppm_header_and_raster(self):
         pixels = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
-        data = write_ppm(pixels)
+        data = write_pnm(pixels)
         assert data == b"P6\n2 2\n255\n" + bytes(range(12))
 
     def test_channel_count_enforced(self):
-        with pytest.raises(ValueError, match="one channel"):
-            write_pgm(np.zeros((2, 2, 3), dtype=np.uint8))
-        with pytest.raises(ValueError, match="three channels"):
-            write_ppm(np.zeros((2, 2), dtype=np.uint8))
+        for shape in [(2, 2, 2), (2, 2, 4), (4,), (2, 2, 3, 1)]:
+            with pytest.raises(ValueError, match=re.escape(f"three channels, got shape {shape}")):
+                write_pnm(np.zeros(shape, dtype=np.uint8))

@@ -24,7 +24,7 @@ def test_all_names_exactly_the_public_names():
 
 def test_block_forms_beside_whole_stream_functions():
     assert {
-        "segment_blocks", "truncate_blocks", "encode_blocks", "AedatReader", "TextReader"
+        "truncate_blocks", "encode_blocks", "AedatReader", "TextReader"
     } <= set(evframes.__all__)
     # truncate_blocks holds the per-block cut; encode_stream lives with the encoders.
     assert "truncate_block" not in evframes.__all__
@@ -49,6 +49,17 @@ def test_one_name_for_a_frame_shape_an_empty_stream_and_the_count_kind():
     assert not hasattr(evframes.EventStream, "empty")
     assert not hasattr(evframes.cli, "_KINDS")
     assert evframes.KIND_EVENT_COUNT == "count"
+
+
+def test_one_window_assembler_and_one_image_writer():
+    # Windows come from segment and frames in bounded memory from encode_blocks;
+    # write_pnm writes both PGM and PPM.
+    modules = (evframes, evframes.windowing, evframes.formats, evframes.cli)
+    for name in ("segment_blocks", "write_pgm", "write_ppm"):
+        assert name not in evframes.__all__
+        assert not any(hasattr(module, name) for module in modules)
+    assert "write_pnm" in evframes.__all__
+    assert evframes.write_pnm is evframes.formats.write_pnm
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from evframes import windowing
-from evframes.encoders import encode_blocks
+from evframes.encoders import KIND_TIMESTAMP, POLARITY_MERGED, encode_blocks
 from evframes.stream import DVS128_GEOMETRY, EventStream, truncate_by_ratio
-from evframes.windowing import EventWindow, WindowConfig, segment, segment_blocks
+from evframes.windowing import EventWindow, WindowConfig, segment
 
-from tests.oracles import stream_of
+from tests.oracles import encode_per_window, stream_of
 
 from .test_stream import make_stream, random_stream
 
@@ -98,27 +98,23 @@ class TestSegment:
         with pytest.raises(ValueError, match="int64"):
             segment(s, WindowConfig(1000))
 
-    @pytest.mark.parametrize("tile", [segment_blocks, encode_blocks])
     @pytest.mark.parametrize("cuts", [[], [1]], ids=["one-block", "two-blocks"])
-    def test_window_end_overflow_rejected_before_the_first_window(self, tile, cuts):
+    def test_window_end_overflow_rejected_before_the_first_window(self, cuts):
         # 1.15e14 windows of 80 ms, the last ending past 2**63 - 1: the
         # error comes before any of them, not after the last.
         s = make_stream([(0, 0, 0, 1), (0, 0, 2**63 - 2, 1)])
         edge = ((2**63 - 2) // 80_000 + 1) * 80_000
-        windows = tile(split(s, cuts), WindowConfig(80_000))
+        windows = encode_blocks(split(s, cuts), WindowConfig(80_000))
         with pytest.raises(ValueError, match=f"last window would end at {edge}, beyond"):
             next(windows)
 
-    @pytest.mark.parametrize("tile", [segment_blocks, encode_blocks])
     @pytest.mark.parametrize("cuts", [[], [1]], ids=["one-block", "two-blocks"])
-    def test_more_windows_than_a_tensor_holds_rejected_before_the_first(
-        self, tile, cuts, monkeypatch
-    ):
+    def test_more_windows_than_a_tensor_holds_rejected_before_the_first(self, cuts, monkeypatch):
         monkeypatch.setattr(windowing, "MAX_FRAME_COUNT", 3)
         three = make_stream([(0, 0, 0, 1), (0, 0, 2_999, 1)])
-        assert len(list(tile(split(three, cuts), WindowConfig(1000)))) == 3
+        assert len(list(encode_blocks(split(three, cuts), WindowConfig(1000)))) == 3
         five = make_stream([(0, 0, 0, 1), (0, 0, 4_999, 1)])
-        windows = tile(split(five, cuts), WindowConfig(1000))
+        windows = encode_blocks(split(five, cuts), WindowConfig(1000))
         with pytest.raises(ValueError, match=(
             r"^stream would need 5 windows, more than the 3 frames of a frame tensor "
             r"\(events 0\.\.4999, window 1000 us\)$"
@@ -148,6 +144,8 @@ def split(stream, cuts):
 
 
 class TestSegmentBlocks:
+    """Windows of a stream that arrives in blocks, as encode_blocks tiles them."""
+
     @pytest.mark.parametrize("T", [1, 7, 100])
     def test_gappy_blocks_match_brute_force(self, T):
         rng = np.random.default_rng(T)
@@ -156,28 +154,32 @@ class TestSegmentBlocks:
             gaps = np.where(rng.random(n) < 0.2, rng.integers(0, 60 * T, n), rng.integers(0, T, n))
             s = EventStream(DVS128_GEOMETRY, rng.integers(0, 128, n), rng.integers(0, 128, n),
                             np.cumsum(gaps), rng.choice([-1, 1], n))
-            cuts = np.sort(rng.choice(np.arange(n + 1), size=int(rng.integers(0, n + 1))))
-            windows = list(segment_blocks(split(s, cuts.tolist()), WindowConfig(T)))
+            windows = segment(s, WindowConfig(T))
             index = brute_force_assignment(s, T)
             t_first = int(s.t[0])
             assert len(windows) == index[-1] + 1
             for k, w in enumerate(windows):
                 assert (w.window_start, w.window_end) == (t_first + k * T, t_first + (k + 1) * T)
                 assert w.t.tolist() == [int(t) for t, i in zip(s.t, index) if i == k]
+            # The same windows when the stream arrives in blocks cut at random.
+            cuts = np.sort(rng.choice(np.arange(n + 1), size=int(rng.integers(0, n + 1))))
+            frames = list(encode_blocks(split(s, cuts.tolist()), WindowConfig(T)))
+            assert frames == encode_per_window(s, WindowConfig(T), KIND_TIMESTAMP, POLARITY_MERGED)
 
     def test_time_gap_yields_first_windows_in_bounded_memory(self):
         # Two events 4.3e9 us apart are 4.3 million windows of 1 ms.
         s = make_stream([(1, 2, 5, 1), (3, 4, 4_300_000_005, -1)])
-        windows = segment_blocks([s], WindowConfig(1000))
+        frames = encode_blocks([s], WindowConfig(1000))
         tracemalloc.start()
         try:
-            first = next(windows)
+            first = next(frames)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        following = list(islice(windows, 3))
-        assert [(w.window_start, len(w)) for w in [first, *following]] == [
-            (5, 1), (1005, 0), (2005, 0), (3005, 0)
+        following = list(islice(frames, 3))
+        assert [(f.window_start, f.empty) for f in [first, *following]] == [
+            (5, False), (1005, True), (2005, True), (3005, True)
         ]
-        assert first.x.tolist() == [1] and first.y.tolist() == [2]
+        # The one event of the first window, positive at x=1, y=2.
+        assert np.argwhere(first.pixels).tolist() == [[2, 1, 0]]

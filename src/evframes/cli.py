@@ -12,7 +12,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -94,9 +94,13 @@ def _open_blocks(args) -> Iterator[AedatReader | TextReader]:
 def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
     """A new file beside path that replaces it if the block succeeds and is removed if not.
 
-    A failed run thus leaves neither a partial output nor the temporary file.
+    A failed run thus leaves neither a partial output nor the temporary file. An
+    existing output must be a regular file; a symlink's target is replaced.
     """
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        raise OSError(f"output {path} is not a regular file")
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         f = open(partial, "xb")
     except OSError as exc:  # name the output, not the temporary file
@@ -104,7 +108,7 @@ def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
     try:
         with f:
             yield f
-        os.replace(partial, path)
+        os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -160,7 +164,7 @@ def cmd_chunk(args) -> int:
     with open(args.frames, "rb") as f:
         empty = [flag for _, _, flag in FrameTensorReader(f).prefixes()]
     chunks = select_chunks(empty, args.policy)
-    _emit("".join(" ".join(map(str, r)) + "\n" for r in chunks), args.output)
+    _emit((" ".join(map(str, r)) + "\n" for r in chunks), args.output)
     return 0
 
 
@@ -174,7 +178,7 @@ def cmd_aggregate(args) -> int:
     ]
     if prediction.label_name is not None:
         lines.append(f"label_name: {prediction.label_name}")
-    _emit("".join(line + "\n" for line in lines), args.output)
+    _emit((line + "\n" for line in lines), args.output)
     return 0
 
 
@@ -190,17 +194,15 @@ def cmd_simulate(args) -> int:
         check_frame_times(times, len(times))
         log_frames = (np.log(frame.pixels[:, :, 0] + 1.0) for frame in tensor.frames())
         config = SimConfig(args.threshold, args.refractory_us)
-        with _replace_on_success(Path(args.output)) as out:
-            for block in simulate_intervals(log_frames, times, config):
-                out.writelines(text.encode("ascii") for text in text_slices(block))
+        blocks = simulate_intervals(log_frames, times, config)
+        _emit((text for block in blocks for text in text_slices(block)), args.output)
     return 0
 
 
 def cmd_truncate(args) -> int:
     with _open_blocks(args) as reader:
         heads = truncate_blocks(reader, args.ratio)  # input errors come before the output opens
-        with _replace_on_success(Path(args.output)) as f:
-            f.writelines(text.encode("ascii") for head in heads for text in text_slices(head))
+        _emit((text for head in heads for text in text_slices(head)), args.output)
     return 0
 
 
@@ -228,15 +230,17 @@ def cmd_info(args) -> int:
         lines.append(f"records: {stats.records}")
         lines.append(f"skipped_non_dvs: {stats.skipped_non_dvs}")
         lines.append(f"timestamp_wraps: {stats.timestamp_wraps}")
-    _emit("".join(line + "\n" for line in lines), None)
+    _emit((line + "\n" for line in lines), None)
     return 0
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(texts: Iterable[str], output: str | None) -> None:
+    """Write texts to stdout, or as UTF-8 through _replace_on_success to the output path."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
-        Path(output).write_text(text)
+        with _replace_on_success(Path(output)) as f:
+            f.writelines(text.encode("utf-8") for text in texts)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,8 @@ def write_pnm(pixels: np.ndarray) -> bytes:
         pixels = pixels[:, :, None]
     if pixels.ndim != 3 or pixels.shape[2] not in (1, 3):
         raise ValueError(f"PNM needs one or three channels, got shape {pixels.shape}")
+    if pixels.dtype != np.uint8:
+        raise ValueError(f"PNM needs uint8 pixels, got {pixels.dtype}")
     height, width, channels = pixels.shape
     header = f"{'P5' if channels == 1 else 'P6'}\n{width} {height}\n255\n".encode("ascii")
-    return header + np.ascontiguousarray(pixels, dtype=np.uint8).tobytes()
+    return header + pixels.tobytes()

@@ -12,6 +12,7 @@ encodes its windows and folds one with more events than its frame has cells.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -29,8 +30,16 @@ class WindowConfig:
     window_length_us: int = DEFAULT_WINDOW_US
 
     def __post_init__(self):
-        if self.window_length_us <= 0:
-            raise ValueError(f"window length must be positive, got {self.window_length_us}")
+        # A Python int, so that window-end arithmetic cannot wrap as numpy scalars do.
+        try:
+            length = operator.index(self.window_length_us)
+        except TypeError:
+            raise ValueError(
+                f"window length must be an integer, got {self.window_length_us!r}"
+            ) from None
+        if length <= 0:
+            raise ValueError(f"window length must be positive, got {length}")
+        object.__setattr__(self, "window_length_us", length)
 
 
 class EventWindow:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import resource
+import stat
 import struct
 import subprocess
 import sys
@@ -799,6 +800,120 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "events: 1" in proc.stdout
+
+
+def writer_runs(d):
+    """For each command that writes a file: argv of a valid run writing to `out`, inputs in d."""
+    events, tensor, scores = d / "ev.txt", d / "frames.evfr", d / "scores.txt"
+    write_events(events, ["0 1 1 1", "10 2 2 -1", "20 3 3 1"])
+    intensity_tensor(tensor, [[[0, 1]], [[4, 9]], [[30, 2]]])
+    scores.write_text("# k=2 classes=walk,run\n0,0.2,0.8\n1,0.4,0.6\n")
+    return {
+        "encode": lambda out: ["encode", events, out, "--geometry", "4x4"],
+        "truncate": lambda out: ["truncate", events, out, "--geometry", "4x4", "--ratio", 1],
+        "simulate": lambda out: ["simulate", tensor, out],
+        "chunk": lambda out: ["chunk", tensor, "-o", out],
+        "aggregate": lambda out: ["aggregate", scores, "-o", out],
+    }
+
+
+WRITERS = ["encode", "truncate", "simulate", "chunk", "aggregate"]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("node", ["fifo", "directory"])
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_output_that_is_not_a_regular_file_is_refused(self, tmp_path, capsys, command, node):
+        argv = writer_runs(tmp_path)[command]
+        out = tmp_path / "out"
+        make, is_node = (os.mkfifo, stat.S_ISFIFO) if node == "fifo" else (os.mkdir, stat.S_ISDIR)
+        make(out)
+        # A reader held open keeps a regression from blocking on the FIFO.
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(*argv(out)) == 1
+        finally:
+            os.close(reader)
+        assert capsys.readouterr().err == f"evframes: output {out} is not a regular file\n"
+        assert is_node(os.lstat(out).st_mode)
+        names = ["ev.txt", "frames.evfr", "out", "scores.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert node == "fifo" or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_symlink_output_replaces_its_target(self, tmp_path, command):
+        argv = writer_runs(tmp_path)[command]
+        (tmp_path / "real").mkdir()
+        expected, target, link = tmp_path / "expected", tmp_path / "real" / "out", tmp_path / "out"
+        assert run(*argv(expected)) == 0
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert run(*argv(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected.read_bytes()
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["out"]
+
+    def test_chunk_output_over_a_size_limit_keeps_the_old_output(self, tmp_path):
+        # A 1000-frame manifest of about 11 KiB, written under a 4 KiB file-size limit.
+        tensor, manifest = tmp_path / "frames.evfr", tmp_path / "chunks.txt"
+        frames = (EncodedFrame(np.zeros((1, 1, 1), np.uint8), None, None, i, i + 1, False)
+                  for i in range(1000))
+        with open(tensor, "wb") as f:
+            write_frame_tensor_to(f, frames, (1, 1, 1))
+        manifest.write_bytes(b"0 1 2\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "evframes", "chunk", str(tensor), "-o", str(manifest)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("evframes: ") and proc.stderr.count("\n") == 1
+        assert manifest.read_bytes() == b"0 1 2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks.txt", "frames.evfr"]
+
+    def test_aggregate_output_is_utf8_in_an_ascii_locale(self, tmp_path):
+        scores, out = tmp_path / "scores.txt", tmp_path / "out.txt"
+        scores.write_bytes("# k=2 classes=caf\u00e9,th\u00e9\n0,0.75,0.25\n".encode())
+        env = dict(child_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "evframes", "aggregate", str(scores), "-o", str(out)],
+            capture_output=True,
+            env=env,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        expected = "mean_scores: 0.75 0.25\nlabel: 0\nlabel_name: caf\u00e9\n"
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_no_command_uses_the_locale_encoding(self, tmp_path):
+        runs = writer_runs(tmp_path)
+        o = tmp_path / "out"
+        argvs = [
+            runs["encode"](tmp_path / "ev.evfr") + ["--emit-images", tmp_path / "imgs"],
+            ["chunk", tmp_path / "frames.evfr"],
+            runs["chunk"](o / "chunks.txt"),
+            ["aggregate", tmp_path / "scores.txt"],
+            runs["aggregate"](o / "prediction.txt"),
+            runs["simulate"](o / "sim.txt"),
+            runs["truncate"](o / "truncated.txt"),
+            ["info", tmp_path / "ev.txt", "--geometry", "4x4"],
+        ]
+        o.mkdir()
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "evframes", *map(str, argv)],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
+        assert len(list((tmp_path / "imgs").iterdir())) == 1
+        assert len(list(o.iterdir())) == 4
 
 
 @st.composite

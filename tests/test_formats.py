@@ -572,3 +572,9 @@ class TestPortableImages:
         for shape in [(2, 2, 2), (2, 2, 4), (4,), (2, 2, 3, 1)]:
             with pytest.raises(ValueError, match=re.escape(f"three channels, got shape {shape}")):
                 write_pnm(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("value,dtype", [(300, "int64"), (-1.5, "float64")])
+    def test_pixels_that_are_not_uint8_refused(self, value, dtype):
+        # Cast to uint8, 300 would wrap to 44 and -1.5 to 255.
+        with pytest.raises(ValueError, match=f"^PNM needs uint8 pixels, got {dtype}$"):
+            write_pnm(np.full((1, 2), value))

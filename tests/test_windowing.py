@@ -28,6 +28,19 @@ class TestWindowConfig:
         with pytest.raises(ValueError):
             WindowConfig(0)
 
+    def test_numpy_integer_is_stored_as_python_int(self):
+        # As an np.int64, the last window's end 2**63 would wrap to -2**63.
+        config = WindowConfig(np.int64(2**62))
+        assert type(config.window_length_us) is int
+        s = make_stream([(0, 0, 0, 1), (1, 1, 2**63 - 2, -1)])
+        with pytest.raises(ValueError, match="last window would end at 9223372036854775808"):
+            segment(s, config)
+
+    @pytest.mark.parametrize("length", [1000.5, 80_000.0])
+    def test_non_integer_refused(self, length):
+        with pytest.raises(ValueError, match=f"^window length must be an integer, got {length}$"):
+            WindowConfig(length)
+
 
 class TestSegment:
     def test_empty_stream(self):

@@ -46,7 +46,6 @@ from .ingest import (
     AedatLayout,
     AedatReader,
     FormatError,
-    ParseStats,
     TextReader,
     parse_aedat2,
     parse_aedat2_stats,
@@ -92,7 +91,6 @@ __all__ = [
     "FormatError",
     "FrameTensor",
     "FrameTensorReader",
-    "ParseStats",
     "ScoreVector",
     "SensorGeometry",
     "SimConfig",

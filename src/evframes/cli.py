@@ -8,6 +8,7 @@ convention, also used for out-of-domain flag values).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -17,7 +18,9 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from .chunking import POLICIES, POLICY_KEEP, select_chunks
-from .encoders import _CHANNELS, KINDS, POLARITY_IGNORE, POLARITY_MERGED, encode_blocks
+from .encoders import (
+    _CHANNELS, KIND_TIMESTAMP, KINDS, POLARITY_IGNORE, POLARITY_MERGED, encode_blocks
+)
 from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pnm
 from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, TextReader, text_slices
 from .scoring import temporal_average_pool
@@ -65,7 +68,7 @@ def _flag_value(convert, accept, rule: str):
 
 _positive_int = _flag_value(int, lambda v: v > 0, "must be a positive integer")
 _non_negative_int = _flag_value(int, lambda v: v >= 0, "must be >= 0")
-_positive_float = _flag_value(float, lambda v: v > 0, "must be > 0")
+_positive_float = _flag_value(float, lambda v: 0 < v < math.inf, "must be finite and > 0")
 _ratio = _flag_value(float, lambda v: 0.0 < v <= 1.0, "ratio must be in (0, 1]")
 
 
@@ -225,22 +228,23 @@ def cmd_info(args) -> int:
     lines.append(f"positive: {positive}")
     lines.append(f"negative: {negative}")
     if isinstance(reader, AedatReader):
-        stats = reader.stats
-        lines.append(f"header_lines: {stats.header_lines}")
-        lines.append(f"records: {stats.records}")
-        lines.append(f"skipped_non_dvs: {stats.skipped_non_dvs}")
-        lines.append(f"timestamp_wraps: {stats.timestamp_wraps}")
+        lines.append(f"header_lines: {reader.header_lines}")
+        lines.append(f"records: {reader.records}")
+        lines.append(f"skipped_non_dvs: {reader.skipped_non_dvs}")
+        lines.append(f"timestamp_wraps: {reader.timestamp_wraps}")
     _emit((line + "\n" for line in lines), None)
     return 0
 
 
 def _emit(texts: Iterable[str], output: str | None) -> None:
-    """Write texts to stdout, or as UTF-8 through _replace_on_success to the output path."""
+    """Write texts as UTF-8 to stdout, or through _replace_on_success to the output path."""
+    data = (text.encode("utf-8") for text in texts)
     if output is None:
-        sys.stdout.writelines(texts)
+        sys.stdout.flush()  # text written to sys.stdout before goes first
+        sys.stdout.buffer.writelines(data)
     else:
         with _replace_on_success(Path(output)) as f:
-            f.writelines(text.encode("utf-8") for text in texts)
+            f.writelines(data)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         choices=sorted(KINDS),
-        default="timestamp",
+        default=KIND_TIMESTAMP,
         help="per-pixel statistic: latest normalized timestamp, or event count",
     )
     p.add_argument(

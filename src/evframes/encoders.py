@@ -207,7 +207,7 @@ def _check_modes(kind: str, polarity_mode: str) -> None:
 def encode_stream(
     stream: EventStream,
     config: WindowConfig = WindowConfig(),
-    kind: str = "timestamp",
+    kind: str = KIND_TIMESTAMP,
     polarity_mode: str = POLARITY_MERGED,
 ) -> list[EncodedFrame]:
     """:func:`encode_blocks` over one block, in memory; a window denser than its frame folds."""
@@ -217,7 +217,7 @@ def encode_stream(
 def encode_blocks(
     blocks: Iterable[EventStream],
     config: WindowConfig = WindowConfig(),
-    kind: str = "timestamp",
+    kind: str = KIND_TIMESTAMP,
     polarity_mode: str = POLARITY_MERGED,
 ) -> Iterator[EncodedFrame]:
     """Lazily encode a stream that arrives as blocks, one frame per window.

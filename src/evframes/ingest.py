@@ -24,7 +24,8 @@ their order are those of a whole-file pass: header, then trailing partial
 record (known from the file size), then backward ticks anywhere in the file,
 then coordinates; a bad coordinate is therefore reported only once every
 tick has been checked. :func:`parse_aedat2_stats` reads bytes through the
-same reader and joins the blocks.
+same reader, joins the blocks and returns the reader, whose attributes
+count what it read.
 
 Text format: UTF-8, one event per line as ``t x y p`` (whitespace or
 commas), ``#`` comment lines skipped, polarity accepted as 1/-1/0 with 0
@@ -120,17 +121,6 @@ DAVIS240C_LAYOUT = AedatLayout(
 )
 
 
-@dataclass(frozen=True)
-class ParseStats:
-    """Bookkeeping from one AEDAT parse, for reporting alongside the stream."""
-
-    header_lines: int
-    records: int
-    events: int
-    skipped_non_dvs: int
-    timestamp_wraps: int
-
-
 def parse_aedat2(data: bytes, layout: AedatLayout, geometry: SensorGeometry) -> EventStream:
     """Parse AEDAT 2.0 bytes into an EventStream (see module docstring)."""
     stream, _ = parse_aedat2_stats(data, layout, geometry)
@@ -139,10 +129,10 @@ def parse_aedat2(data: bytes, layout: AedatLayout, geometry: SensorGeometry) -> 
 
 def parse_aedat2_stats(
     data: bytes, layout: AedatLayout, geometry: SensorGeometry
-) -> tuple[EventStream, ParseStats]:
-    """Parse AEDAT 2.0 bytes, also returning parse statistics."""
+) -> tuple[EventStream, AedatReader]:
+    """Parse AEDAT 2.0 bytes, also returning the reader, whose attributes are the statistics."""
     reader = AedatReader(io.BytesIO(data), layout, geometry)
-    return EventStream.concat(geometry, list(reader)), reader.stats
+    return EventStream.concat(geometry, list(reader)), reader
 
 
 class AedatReader:
@@ -152,8 +142,12 @@ class AedatReader:
     file. Construction reads the header and checks that the body holds
     whole records; each iteration decodes the body from its start and
     yields one EventStream per block of up to ``_BLOCK_RECORDS`` records
-    that holds DVS events. ``stats`` counts the latest iteration and is
-    complete once it has finished.
+    that holds DVS events.
+
+    The parse statistics are attributes: ``header_lines`` and ``records``
+    are known on construction; ``events``, ``skipped_non_dvs`` and
+    ``timestamp_wraps`` count the latest iteration and are complete once
+    it has finished.
     """
 
     def __init__(self, f: BinaryIO, layout: AedatLayout, geometry: SensorGeometry):
@@ -170,13 +164,6 @@ class AedatReader:
                 f"{self._body_start + self.records * 8}"
             )
         self.events = self.skipped_non_dvs = self.timestamp_wraps = 0
-
-    @property
-    def stats(self) -> ParseStats:
-        return ParseStats(
-            self.header_lines, self.records, self.events, self.skipped_non_dvs,
-            self.timestamp_wraps,
-        )
 
     def __iter__(self) -> Iterator[EventStream]:
         self._f.seek(self._body_start)

@@ -20,6 +20,7 @@ the output a valid, deterministically ordered stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -36,16 +37,17 @@ class SimConfig:
     """Sensor model parameters.
 
     contrast_threshold is the log-intensity step between events (unitless,
-    must be positive). refractory_period_us suppresses events closer than
-    this to the previous emitted event at the same pixel; zero disables it.
+    must be positive and finite). refractory_period_us suppresses events
+    closer than this to the previous emitted event at the same pixel; zero
+    disables it.
     """
 
     contrast_threshold: float = 0.2
     refractory_period_us: int = 0
 
     def __post_init__(self):
-        if not self.contrast_threshold > 0:
-            raise ValueError("contrast_threshold must be positive")
+        if not 0 < self.contrast_threshold < math.inf:
+            raise ValueError("contrast_threshold must be positive and finite")
         if self.refractory_period_us < 0:
             raise ValueError("refractory_period_us must be non-negative")
 
@@ -108,8 +110,15 @@ def simulate_intervals(
     for f, l1 in enumerate(frames):
         l1 = l1.ravel()
         direction = np.sign(l1 - l0)
-        # direction == 0 makes the product 0, so static pixels count 0 crossings
-        n_cross = np.maximum(np.floor(direction * (l1 - ref) / threshold), 0).astype(np.int64)
+        # direction == 0 makes the product 0, so static pixels count 0 crossings.
+        # A count past float64 is inf, refused with the others int64 cannot hold.
+        with np.errstate(over="ignore"):
+            n_cross = np.maximum(np.floor(direction * (l1 - ref) / threshold), 0)
+        if n_cross.sum() >= 2.0**63:
+            raise ValueError(
+                f"frames {f} to {f + 1}: more threshold crossings than int64 can count"
+            )
+        n_cross = n_cross.astype(np.int64)
         active = np.flatnonzero(n_cross)
         reps = n_cross[active]
         # Active pixel i owns crossings starts[i] .. starts[i] + reps[i] - 1,

@@ -423,6 +423,21 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    def test_infinite_or_tiny_threshold_is_refused(self, tmp_path, capsys):
+        tensor, out = tmp_path / "in.evfr", tmp_path / "out.txt"
+        intensity_tensor(tensor, [[[0, 0], [0, 0]], [[1, 1], [1, 1]]])
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", tensor, out, "--threshold", "inf")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            " error: argument --threshold: must be finite and > 0, got inf\n"
+        )
+        assert run("simulate", tensor, out, "--threshold", "1e-300") == 1
+        assert capsys.readouterr().err == (
+            "evframes: frames 0 to 1: more threshold crossings than int64 can count\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.evfr"]
+
     def test_multichannel_input_is_data_error(self, tmp_path, capsys):
         tensor = tmp_path / "in.evfr"
         frames = [
@@ -752,8 +767,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,flag,value,message", [
         ("encode", "--window-us", "1e3", "must be a positive integer, got 1e3"),
         ("encode", "--window-us", "0", "must be a positive integer, got 0"),
-        ("simulate", "--threshold", "x", "must be > 0, got x"),
-        ("simulate", "--threshold", "nan", "must be > 0, got nan"),
+        ("simulate", "--threshold", "x", "must be finite and > 0, got x"),
+        ("simulate", "--threshold", "nan", "must be finite and > 0, got nan"),
         ("simulate", "--refractory-us", "1.5", "must be >= 0, got 1.5"),
         ("simulate", "--refractory-us", "-1", "must be >= 0, got -1"),
         ("truncate", "--ratio", "abc", "ratio must be in (0, 1], got abc"),
@@ -878,15 +893,21 @@ class TestOutputFiles:
         scores, out = tmp_path / "scores.txt", tmp_path / "out.txt"
         scores.write_bytes("# k=2 classes=caf\u00e9,th\u00e9\n0,0.75,0.25\n".encode())
         env = dict(child_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-        proc = subprocess.run(
-            [sys.executable, "-m", "evframes", "aggregate", str(scores), "-o", str(out)],
-            capture_output=True,
-            env=env,
-            timeout=30,
+        to_file, to_stdout = (
+            subprocess.run(
+                [sys.executable, "-m", "evframes", "aggregate", str(scores), *output],
+                capture_output=True,
+                env=env,
+                timeout=30,
+            )
+            for output in (["-o", str(out)], [])
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
         expected = "mean_scores: 0.75 0.25\nlabel: 0\nlabel_name: caf\u00e9\n"
         assert out.read_bytes() == expected.encode("utf-8")
+        # stdout gets the same bytes as the output file, not the locale's encoding.
+        assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+        assert to_stdout.stdout == out.read_bytes()
 
     def test_no_command_uses_the_locale_encoding(self, tmp_path):
         runs = writer_runs(tmp_path)
@@ -1022,7 +1043,8 @@ def fuzz_main(workdir, command, data, variant, bad_flag):
     if bad_flag:
         argv.append("--no-such-flag")
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # main() writes to its buffer
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:

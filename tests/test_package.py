@@ -62,6 +62,13 @@ def test_one_window_assembler_and_one_image_writer():
     assert evframes.write_pnm is evframes.formats.write_pnm
 
 
+def test_parse_counts_live_on_the_reader():
+    # AedatReader's own attributes are the parse statistics; no snapshot type repeats them.
+    assert "ParseStats" not in evframes.__all__
+    assert not hasattr(evframes.ingest, "ParseStats")
+    assert not hasattr(evframes.AedatReader, "stats")
+
+
 def test_readme_python_examples_run(tmp_path, monkeypatch):
     examples = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
     assert examples

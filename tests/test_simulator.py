@@ -206,6 +206,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="contrast_threshold"):
             SimConfig(contrast_threshold=0.0)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_threshold_must_be_finite(self, c):
+        with pytest.raises(ValueError, match="^contrast_threshold must be positive and finite$"):
+            SimConfig(contrast_threshold=c)
+
+    @pytest.mark.parametrize("c", [1e-300, 5e-324], ids=["tiny", "subnormal"])
+    def test_crossings_past_int64_are_refused(self, c):
+        # The second interval's jump needs more crossings than int64 holds.
+        frames = np.array([np.full((2, 2), 1.0), np.full((2, 2), 1.0), np.full((2, 2), 50.0)])
+        with pytest.raises(ValueError, match=(
+            "^frames 1 to 2: more threshold crossings than int64 can count$"
+        )):
+            simulate(frames, [0, 1000, 2000], SimConfig(c))
+
     def test_refractory_must_be_non_negative(self):
         with pytest.raises(ValueError, match="refractory"):
             SimConfig(0.2, refractory_period_us=-1)

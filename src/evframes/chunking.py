@@ -9,7 +9,7 @@ policy then keeps every chunk or drops those whose every frame is empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .encoders import EncodedFrame
 
@@ -32,11 +32,11 @@ class Chunk:
         return tuple(range(self.index - len(self.frames) + 1, self.index + 1))
 
 
-def select_chunks(empty: Sequence[bool], policy: str = POLICY_KEEP) -> list[range]:
-    """Frame indices of each chunk that policy keeps, over frames with these empty flags."""
-    drop = _drops_all_empty(policy)
-    chunks = [range(j, j + _CHUNK_SIZE) for j in range(len(empty) - _CHUNK_SIZE + 1)]
-    return [r for r in chunks if not (drop and all(empty[r.start : r.stop]))]
+def select_chunks(empty: Sequence[bool], policy: str = POLICY_KEEP) -> Iterator[range]:
+    """Frame indices of each chunk that policy keeps, lazily, over these empty flags."""
+    drop = _drops_all_empty(policy)  # checked on the call, not when a chunk is drawn
+    chunks = (range(j, j + _CHUNK_SIZE) for j in range(len(empty) - _CHUNK_SIZE + 1))
+    return (r for r in chunks if not (drop and all(empty[r.start : r.stop])))
 
 
 def make_chunks(frames: Sequence[EncodedFrame]) -> list[Chunk]:

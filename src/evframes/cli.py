@@ -165,6 +165,7 @@ def cmd_encode(args) -> int:
 
 def cmd_chunk(args) -> int:
     with open(args.frames, "rb") as f:
+        # Every flag is read and checked before the first manifest line goes out.
         empty = [flag for _, _, flag in FrameTensorReader(f).prefixes()]
     chunks = select_chunks(empty, args.policy)
     _emit((" ".join(map(str, r)) + "\n" for r in chunks), args.output)
@@ -333,8 +334,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"evframes: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A MemoryError that Python raises itself has no message.
+        print(f"evframes: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -23,10 +23,9 @@ once. Both take each frame's prefix and pixels from one generator that
 checks the frames. Version 1 holds at most ``MAX_FRAME_COUNT`` frames.
 :func:`read_frame_tensor` decodes bytes already in memory, and its frames
 are read-only views of them; :class:`FrameTensorReader` reads a file one
-frame at a time. Both decode frames through one function, which checks
-every empty flag. ``FrameTensorReader.prefixes()`` reads only each frame's
-17-byte prefix, decoded by the same function as a frame without pixels,
-and seeks past the pixels.
+frame at a time, and its ``prefixes()`` reads only each frame's 17-byte
+prefix and seeks past the pixels. Every prefix either reader reads is
+unpacked, and its empty flag checked, by one function.
 
 Score tables are one CSV-ish text line per chunk with a '#' header naming K
 (and optionally the class labels). Images are written as binary PGM
@@ -39,6 +38,7 @@ import io
 import itertools
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -56,10 +56,6 @@ _HEADER = struct.Struct("<4sBIIII")
 _COUNT = struct.Struct("<I")
 _COUNT_OFFSET = _HEADER.size - _COUNT.size  # frame_count ends the header
 _FRAME_PREFIX = struct.Struct("<qqB")
-# The same prefix as a numpy record, for decoding every prefix at once.
-_PREFIX_RECORD = np.dtype(
-    [(name, "<" + code) for name, code in zip(("start", "end", "empty"), _FRAME_PREFIX.format[1:])]
-)
 
 
 @dataclass
@@ -197,9 +193,7 @@ class FrameTensorReader:
         """Yield each frame's (window_start, window_end, empty), skipping its pixels."""
         self._f.seek(self._body)
         for i in range(self.frame_count):
-            # A prefix alone decodes as a frame without pixels.
-            (frame,) = _decode_frames(self._read(_FRAME_PREFIX.size, i), 1, (0, 0, 0), i)
-            yield frame.window_start, frame.window_end, frame.empty
+            yield _prefix(self._read(_FRAME_PREFIX.size, i), 0, i)
             self._f.seek(self._frame_bytes, io.SEEK_CUR)
 
     def _read(self, n: int, i: int) -> bytes:
@@ -225,7 +219,7 @@ def _unpack_header(header: bytes, size: int) -> tuple[int, int, int, int]:
             f"({frame_count} frames of {height}x{width}x{channels} need {expected} bytes)"
         )
     # Zero-size frames pass the length check whatever their other dimensions.
-    if math.prod(d for d in (frame_count, height, width, channels) if d) > np.iinfo(np.intp).max:
+    if math.prod(d for d in (frame_count, height, width, channels) if d) > sys.maxsize:
         raise FormatError(f"{frame_count} frames of {height}x{width}x{channels} are too large")
     return width, height, channels, frame_count
 
@@ -235,21 +229,24 @@ def _decode_frames(
 ) -> list[EncodedFrame]:
     """The count packed frames in the bytes-like buf, numbered from first.
 
-    Every empty flag is checked and the first bad one is named. The frames'
-    pixels are read-only views of buf.
+    The frames' pixels are read-only views of buf.
     """
-    if not count:  # no rows, whose length reshape(0, -1) could not infer
-        return []
-    rows = np.frombuffer(buf, np.uint8).reshape(count, -1)
+    size = _FRAME_PREFIX.size + math.prod(shape)
+    rows = np.frombuffer(buf, np.uint8).reshape(count, size)
     rows.setflags(write=False)
-    prefixes = rows[:, : _FRAME_PREFIX.size].view(_PREFIX_RECORD)[:, 0].tolist()
     pixels = rows[:, _FRAME_PREFIX.size :].reshape(count, *shape)
-    frames = []
-    for i, ((start, end, flag), p) in enumerate(zip(prefixes, pixels), start=first):
-        if flag > 1:
-            raise FormatError(f"frame {i}: empty flag must be 0 or 1, got {flag}")
-        frames.append(EncodedFrame(p, None, None, start, end, flag == 1))
-    return frames
+    return [
+        EncodedFrame(p, None, None, *_prefix(buf, j * size, first + j))
+        for j, p in enumerate(pixels)
+    ]
+
+
+def _prefix(buf, offset: int, i: int) -> tuple[int, int, bool]:
+    """Frame i's (window_start, window_end, empty), from the prefix at offset in buf."""
+    start, end, flag = _FRAME_PREFIX.unpack_from(buf, offset)
+    if flag > 1:
+        raise FormatError(f"frame {i}: empty flag must be 0 or 1, got {flag}")
+    return start, end, flag == 1
 
 
 # ---------------------------------------------------------------------------

@@ -201,14 +201,13 @@ class AedatReader:
         wrapped = raw[down] - before < -_WRAP_JUMP
         wraps = down[wrapped]
         self._last_raw = int(raw[-1])
-        if (self.timestamp_wraps + wraps.size + 1) * _WRAP_STEP > MAX_TIMESTAMP_US:
-            # Some unwrapped tick may pass the int64 range: name the first that does.
-            w = self.timestamp_wraps + np.cumsum(np.bincount(wraps, minlength=n))
-            over = np.flatnonzero(w > (MAX_TIMESTAMP_US - raw) // _WRAP_STEP)
-            if over.size:
-                i = int(over[0])
-                t = int(raw[i]) + int(w[i]) * _WRAP_STEP
-                raise FormatError(f"record {base + i}: unwrapped tick {t} beyond the int64 range")
+        # A raw tick is below the power of two _WRAP_STEP, so a tick leaves int64
+        # exactly when more than MAX_TIMESTAMP_US // _WRAP_STEP wraps come before it.
+        room = MAX_TIMESTAMP_US // _WRAP_STEP - self.timestamp_wraps
+        if room < wraps.size:
+            i = int(wraps[room])
+            t = int(raw[i]) + (self.timestamp_wraps + room + 1) * _WRAP_STEP
+            raise FormatError(f"record {base + i}: unwrapped tick {t} beyond the int64 range")
         ticks = raw  # a copy of the file's words, offset in place
         if self.timestamp_wraps:
             ticks += self.timestamp_wraps * _WRAP_STEP

@@ -55,7 +55,7 @@ class SimConfig:
 def simulate(intensities, timestamps_us, config: SimConfig = SimConfig()) -> EventStream:
     """Generate the event stream an ideal sensor would emit for a scene.
 
-    intensities is an (N, H, W) array of strictly positive linear
+    intensities is an (N, H, W) array of finite, strictly positive linear
     intensities; timestamps_us gives the N frame times in microseconds,
     strictly increasing and within 0..2**53. At least two frames are
     required.
@@ -65,8 +65,8 @@ def simulate(intensities, timestamps_us, config: SimConfig = SimConfig()) -> Eve
     if frames.ndim != 3:
         raise ValueError(f"intensities must be (N, H, W), got shape {frames.shape}")
     check_frame_times(times, len(frames))
-    if np.any(frames <= 0):
-        raise ValueError("intensities must be strictly positive (log is taken)")
+    if not np.all(np.isfinite(frames) & (frames > 0)):
+        raise ValueError("intensities must be finite and strictly positive (log is taken)")
     blocks = list(simulate_intervals((np.log(frame) for frame in frames), times, config))
     return EventStream.concat(blocks[0].geometry, blocks)
 

@@ -48,7 +48,8 @@ class EventStream:
     """A finite, time-ordered sequence of events plus the sensor geometry.
 
     Columns are kept as read-only 1-D numpy arrays (x, y: int32; t: int64 us;
-    p: int8 in {+1, -1}). Construction does not enforce the invariants
+    p: int8 in {+1, -1}). They may share memory with the arrays passed in,
+    which stay writable. Construction does not enforce the invariants
     (sorted timestamps, in-bounds coordinates, legal polarity): the readers
     and the simulator enforce them, and the tests check them
     (``tests/oracles.py``).
@@ -108,7 +109,7 @@ class EventStream:
 
 
 def _column(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+    arr = np.asarray(values, dtype=dtype).view()  # frozen below, not the caller's array
     if arr.ndim != 1:
         raise ValueError(f"event columns must be one-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)

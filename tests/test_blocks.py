@@ -8,6 +8,7 @@ events than their frames have cells, so ``encode_blocks`` folds them.
 """
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -304,6 +305,18 @@ class TestErrorMessages:
             mp.setattr(ingest, "_BLOCK_RECORDS", block)
             with pytest.raises(FormatError, match="^record 8: timestamp moves backward"):
                 parse_aedat2_stats(data, DVS128_LAYOUT, SensorGeometry(8, 8))
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("within", [0, 3], ids=["at-record-edge", "in-record"])
+    def test_file_cut_after_the_length_check(self, tmp_path, monkeypatch, block, within):
+        path = tmp_path / "rec.aedat"
+        path.write_bytes(HEADER + b"".join(dvs128_record(1, 1, 1, i) for i in range(10)))
+        monkeypatch.setattr(ingest, "_BLOCK_RECORDS", block)
+        with open(path, "rb") as f:
+            reader = AedatReader(f, DVS128_LAYOUT, DVS128_GEOMETRY)
+            os.truncate(path, len(HEADER) + 5 * 8 + within)
+            with pytest.raises(FormatError, match="^record 5: file ended while reading$"):
+                list(reader)
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_trailing_partial_record(self, block):

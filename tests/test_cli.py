@@ -313,6 +313,22 @@ class TestChunk:
             f"{j - 2} {j - 1} {j}\n" for j in range(2, 200) if j % 4 < 3
         )
 
+    def test_memory_holds_no_chunk_list(self, tmp_path):
+        # 50,000 one-pixel frames, a third of them empty, in runs of three.
+        path, manifest = tmp_path / "frames.evfr", tmp_path / "chunks.txt"
+        empty = [i // 3 % 3 == 0 for i in range(50_000)]
+        pixel = np.zeros((1, 1, 1), dtype=np.uint8)
+        with open(path, "wb") as f:
+            write_frame_tensor_to(
+                f, (EncodedFrame(pixel, None, None, i, i + 1, e) for i, e in enumerate(empty))
+            )
+        code, peak = traced_peak("chunk", path, "--policy", "drop_all_empty_chunks", "-o", manifest)
+        assert code == 0
+        assert peak < 2 << 20
+        assert manifest.read_text() == "".join(
+            f"{j - 2} {j - 1} {j}\n" for j in range(2, 50_000) if not all(empty[j - 2 : j + 1])
+        )
+
     @pytest.mark.parametrize(
         "corrupt,message",
         [
@@ -437,6 +453,17 @@ class TestSimulate:
             "evframes: frames 0 to 1: more threshold crossings than int64 can count\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.evfr"]
+
+    def test_events_past_memory_are_data_error(self, tmp_path, capsys):
+        # ~5e17 crossings fit int64, but their events do not fit memory: numpy
+        # refuses the 3.68 EiB request without allocating any of it.
+        tensor, out = tmp_path / "in.evfr", tmp_path / "out.txt"
+        intensity_tensor(tensor, [[[0]], [[200]]])
+        assert run("simulate", tensor, out, "--threshold", "1e-17") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evframes: Unable to allocate 3.68 EiB ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_multichannel_input_is_data_error(self, tmp_path, capsys):
         tensor = tmp_path / "in.evfr"

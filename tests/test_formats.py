@@ -464,6 +464,10 @@ class TestScoreFile:
             with pytest.raises(ValueError, match="commas or whitespace"):
                 write_scores([ScoreVector([1.0, 2.0], 0)], class_names=["a", f"b{c}c"])
 
+    def test_write_rejects_no_vectors(self):
+        with pytest.raises(ValueError, match="^no score vectors to write$"):
+            write_scores([])
+
     def test_write_rejects_mixed_vector_lengths(self):
         vectors = [ScoreVector([1.0, 2.0], 0), ScoreVector([1.0], 1)]
         with pytest.raises(ValueError, match=r"^chunk 1: score vector has 1 classes, expected 2$"):

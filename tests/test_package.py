@@ -78,6 +78,9 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
     addr = (rng.integers(0, 128, n) << 8) | (rng.integers(0, 128, n) << 1) | (np.arange(n) % 2)
     records = np.stack([addr, np.arange(n) * 1000], axis=1).astype(">u4")
     (tmp_path / "rec.aedat").write_bytes(b"#!AER-DAT2.0\r\n" + records.tobytes())
+    (tmp_path / "rec.txt").write_text(
+        "".join(f"{t} {a >> 1 & 127} {a >> 8 & 127} {a & 1}\n" for a, t in records.tolist())
+    )
     monkeypatch.chdir(tmp_path)
     namespace = {"classifier": lambda chunk: [0.25, 0.75]}
     for i, code in enumerate(examples):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +263,14 @@ class TestValidation:
         frames[1, 0, 0] = 0.0
         with pytest.raises(ValueError, match="positive"):
             simulate(frames, [0, 1000])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_intensity(self, value):
+        frames = np.ones((2, 2, 2))
+        frames[1, 0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic warns
+            with pytest.raises(ValueError, match=(
+                r"^intensities must be finite and strictly positive \(log is taken\)$"
+            )):
+                simulate(frames, [0, 1000])

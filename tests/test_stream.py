@@ -43,6 +43,16 @@ class TestEventStream:
         with pytest.raises(ValueError):
             s.t[0] = 0
 
+    def test_callers_arrays_stay_writable(self):
+        x, t, p = np.array([1, 2], np.int32), np.array([10, 20]), np.array([1, -1], np.int8)
+        s = EventStream(DVS128_GEOMETRY, x, x, t, p)
+        x[0] = 3  # the caller's arrays are theirs to change
+        t[0] = 15
+        p[0] = -1
+        for column in (s.x, s.y, s.t, s.p):
+            with pytest.raises(ValueError):
+                column[1] = 0
+
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
             EventStream(DVS128_GEOMETRY, [1, 2], [1], [10, 20], [1, 1])

@@ -9,60 +9,55 @@ streams from intensity frames with an ideal contrast-threshold sensor
 model. The ``evframes`` CLI drives the same pipeline over files.
 """
 
-from .chunking import (
-    POLICY_DROP_ALL_EMPTY,
-    POLICY_KEEP,
-    Chunk,
-    apply_empty_policy,
-    make_chunks,
-    select_chunks,
-)
-from .encoders import (
-    KIND_EVENT_COUNT,
-    KIND_TIMESTAMP,
-    POLARITY_IGNORE,
-    POLARITY_MERGED,
-    EncodedFrame,
-    encode_blocks,
-    encode_stream,
-    encode_window,
-    event_count_field,
-    quantize,
-    timestamp_field,
-)
-from .formats import (
-    FrameTensor,
-    FrameTensorReader,
-    parse_scores,
-    read_frame_tensor,
-    write_frame_tensor,
-    write_frame_tensor_to,
-    write_pnm,
-    write_scores,
-)
-from .ingest import (
-    DAVIS240C_LAYOUT,
-    DVS128_LAYOUT,
-    AedatLayout,
-    AedatReader,
-    FormatError,
-    TextReader,
-    parse_aedat2,
-    parse_aedat2_stats,
-    parse_text,
-    write_text,
-)
-from .scoring import ScoreVector, VideoPrediction, temporal_average_pool
-from .simulator import SimConfig, simulate
-from .stream import (
-    DAVIS240C_GEOMETRY,
-    DVS128_GEOMETRY,
-    EventStream,
-    SensorGeometry,
-    truncate_blocks,
-    truncate_by_ratio,
-)
-from .windowing import DEFAULT_WINDOW_US, EventWindow, WindowConfig, segment
+import importlib
+
+# Each public name by the module it comes from. A name is imported on first
+# use (PEP 562), so that `import evframes` and the CLI's chunk and aggregate
+# commands do not import numpy.
+_EXPORTS = {
+    "chunking": (
+        "POLICY_DROP_ALL_EMPTY", "POLICY_KEEP", "Chunk", "apply_empty_policy", "make_chunks",
+        "select_chunks",
+    ),
+    "encoders": (
+        "EncodedFrame", "encode_blocks", "encode_stream", "encode_window", "event_count_field",
+        "quantize", "timestamp_field",
+    ),
+    "formats": (
+        "FormatError", "FrameTensor", "FrameTensorReader", "parse_scores", "read_frame_tensor",
+        "write_frame_tensor", "write_frame_tensor_to", "write_pnm", "write_scores",
+    ),
+    "ingest": (
+        "AedatReader", "TextReader", "parse_aedat2", "parse_aedat2_stats", "parse_text",
+        "write_text",
+    ),
+    "options": (
+        "DAVIS240C_GEOMETRY", "DAVIS240C_LAYOUT", "DEFAULT_WINDOW_US", "DVS128_GEOMETRY",
+        "DVS128_LAYOUT", "KIND_EVENT_COUNT", "KIND_TIMESTAMP", "POLARITY_IGNORE",
+        "POLARITY_MERGED", "AedatLayout", "SensorGeometry",
+    ),
+    "scoring": ("ScoreVector", "VideoPrediction", "temporal_average_pool"),
+    "simulator": ("SimConfig", "simulate"),
+    "stream": ("EventStream", "truncate_blocks", "truncate_by_ratio"),
+    "windowing": ("EventWindow", "WindowConfig", "segment"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A submodule, or a public name, imported on first use; the name is then kept here."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -9,9 +9,10 @@ policy then keeps every chunk or drops those whose every frame is empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .encoders import EncodedFrame
+if TYPE_CHECKING:
+    from .encoders import EncodedFrame
 
 _CHUNK_SIZE = 3
 
@@ -32,7 +33,7 @@ class Chunk:
         return tuple(range(self.index - len(self.frames) + 1, self.index + 1))
 
 
-def select_chunks(empty: Sequence[bool], policy: str = POLICY_KEEP) -> Iterator[range]:
+def select_chunks(empty: Sequence[int], policy: str = POLICY_KEEP) -> Iterator[range]:
     """Frame indices of each chunk that policy keeps, lazily, over these empty flags."""
     drop = _drops_all_empty(policy)  # checked on the call, not when a chunk is drawn
     chunks = (range(j, j + _CHUNK_SIZE) for j in range(len(empty) - _CHUNK_SIZE + 1))

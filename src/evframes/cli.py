@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 1 for data errors (bad file contents, reported
 with position context on stderr), 2 for usage errors (argparse's own
 convention, also used for out-of-domain flag values).
+
+Each command imports the array modules it needs when it runs, so that
+``--help``, ``chunk`` and ``aggregate`` run without numpy.
 """
 
 from __future__ import annotations
@@ -13,20 +16,18 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 from .chunking import POLICIES, POLICY_KEEP, select_chunks
-from .encoders import (
-    _CHANNELS, KIND_TIMESTAMP, KINDS, POLARITY_IGNORE, POLARITY_MERGED, encode_blocks
-)
 from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pnm
-from .ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatReader, TextReader, text_slices
+from .options import (
+    DAVIS240C_GEOMETRY, DAVIS240C_LAYOUT, DEFAULT_WINDOW_US, DVS128_GEOMETRY, DVS128_LAYOUT,
+    KIND_TIMESTAMP, KINDS, POLARITY_IGNORE, POLARITY_MERGED, SensorGeometry,
+)
 from .scoring import temporal_average_pool
-from .simulator import SimConfig, check_frame_times, simulate_intervals
-from .stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_blocks
-from .windowing import DEFAULT_WINDOW_US, WindowConfig
+
+if TYPE_CHECKING:
+    from .ingest import AedatReader, TextReader
 
 _LAYOUTS = {
     "dvs128": (DVS128_LAYOUT, DVS128_GEOMETRY),
@@ -80,6 +81,8 @@ _ratio = _flag_value(float, lambda v: 0.0 < v <= 1.0, "ratio must be in (0, 1]")
 @contextmanager
 def _open_blocks(args) -> Iterator[AedatReader | TextReader]:
     """The input's reader: its geometry, and its blocks from the start on each iteration."""
+    from .ingest import AedatReader, TextReader
+
     fmt = args.format
     if fmt == "auto":
         fmt = "aedat2" if args.input.endswith(".aedat") else "text"
@@ -146,6 +149,9 @@ def _add_stream_input(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_encode(args) -> int:
+    from .encoders import _CHANNELS, encode_blocks
+    from .windowing import WindowConfig
+
     with _open_blocks(args) as reader, _replace_on_success(Path(args.output)) as f:
         config = WindowConfig(args.window_us)
         frames = encode_blocks(reader, config, args.kind, args.polarity)
@@ -166,7 +172,7 @@ def cmd_encode(args) -> int:
 def cmd_chunk(args) -> int:
     with open(args.frames, "rb") as f:
         # Every flag is read and checked before the first manifest line goes out.
-        empty = [flag for _, _, flag in FrameTensorReader(f).prefixes()]
+        empty = bytearray(flag for _, _, flag in FrameTensorReader(f).prefixes())
     chunks = select_chunks(empty, args.policy)
     _emit((" ".join(map(str, r)) + "\n" for r in chunks), args.output)
     return 0
@@ -177,7 +183,7 @@ def cmd_aggregate(args) -> int:
         vectors, class_names = parse_scores(f.read())
     prediction = temporal_average_pool(vectors, class_names=class_names)
     lines = [
-        "mean_scores: " + " ".join(repr(float(s)) for s in prediction.mean_scores),
+        "mean_scores: " + " ".join(map(repr, prediction._floats())),
         f"label: {prediction.label}",
     ]
     if prediction.label_name is not None:
@@ -187,6 +193,11 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .ingest import text_slices
+    from .simulator import SimConfig, check_frame_times, simulate_intervals
+
     with open(args.input, "rb") as f:
         tensor = FrameTensorReader(f)
         # The prefix pass checks every empty flag before the checks below.
@@ -204,6 +215,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truncate(args) -> int:
+    from .ingest import text_slices
+    from .stream import truncate_blocks
+
     with _open_blocks(args) as reader:
         heads = truncate_blocks(reader, args.ratio)  # input errors come before the output opens
         _emit((text for head in heads for text in text_slices(head)), args.output)
@@ -211,6 +225,10 @@ def cmd_truncate(args) -> int:
 
 
 def cmd_info(args) -> int:
+    import numpy as np
+
+    from .ingest import AedatReader
+
     events = positive = negative = 0
     t_first = t_last = None
     with _open_blocks(args) as reader:

@@ -33,15 +33,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .options import KIND_EVENT_COUNT, KIND_TIMESTAMP, KINDS, POLARITY_IGNORE, POLARITY_MERGED
 from .stream import EventStream, SensorGeometry
 from .windowing import EventWindow, WindowConfig, _close, _pieces
-
-KIND_TIMESTAMP = "timestamp"
-KIND_EVENT_COUNT = "count"
-KINDS = (KIND_TIMESTAMP, KIND_EVENT_COUNT)
-
-POLARITY_MERGED = "merged"
-POLARITY_IGNORE = "ignore"
 
 
 @dataclass(eq=False)
@@ -261,7 +255,7 @@ def _encode_blocks(blocks, T: int, kind: str, polarity_mode: str) -> Iterator[En
             pieces, buffered, folding = [], 0, False
 
 
-_NO_TICK = np.iinfo(np.int64).min
+_NO_TICK = -(1 << 63)  # the int64 minimum
 
 
 class _Fold:

@@ -30,6 +30,11 @@ unpacked, and its empty flag checked, by one function.
 Score tables are one CSV-ish text line per chunk with a '#' header naming K
 (and optionally the class labels). Images are written as binary PGM
 (1 channel) or PPM (3 channels).
+
+:class:`FormatError` is the error of every reader of malformed input, here
+and in ``ingest``. Reading prefixes and score tables needs no numpy; the
+functions that handle pixels import it when they are called, so that
+``evframes chunk`` and ``aggregate`` run without it.
 """
 
 from __future__ import annotations
@@ -40,22 +45,36 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .encoders import EncodedFrame
-from .ingest import FormatError, _check_utf8
 from .scoring import ScoreVector
-from .stream import MAX_FRAME_COUNT
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .encoders import EncodedFrame
 
 FRAME_TENSOR_MAGIC = b"EVFR"
 FRAME_TENSOR_VERSION = 1
+# Most frames a frame tensor holds: frame_count is a u32 in format version 1.
+MAX_FRAME_COUNT = (1 << 32) - 1
 
 _HEADER = struct.Struct("<4sBIIII")
 _COUNT = struct.Struct("<I")
 _COUNT_OFFSET = _HEADER.size - _COUNT.size  # frame_count ends the header
 _FRAME_PREFIX = struct.Struct("<qqB")
+
+
+class FormatError(ValueError):
+    """Malformed input data; the message carries the position of the defect."""
+
+
+def _check_utf8(line: str, lineno: int) -> None:
+    """Refuse a non-ASCII line holding bytes that were not UTF-8, read as lone surrogates."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise FormatError(f"line {lineno}: not valid UTF-8") from None
 
 
 @dataclass
@@ -137,6 +156,8 @@ def _frame_records(
     Raises ValueError on a frame of the wrong shape or with non-int64 window
     bounds, or on the frame that would pass ``MAX_FRAME_COUNT``.
     """
+    import numpy as np
+
     for i, frame in enumerate(frames):
         if i == MAX_FRAME_COUNT:
             raise ValueError(
@@ -231,6 +252,10 @@ def _decode_frames(
 
     The frames' pixels are read-only views of buf.
     """
+    import numpy as np
+
+    from .encoders import EncodedFrame
+
     size = _FRAME_PREFIX.size + math.prod(shape)
     rows = np.frombuffer(buf, np.uint8).reshape(count, size)
     rows.setflags(write=False)
@@ -356,7 +381,7 @@ def write_pnm(pixels: np.ndarray) -> bytes:
         pixels = pixels[:, :, None]
     if pixels.ndim != 3 or pixels.shape[2] not in (1, 3):
         raise ValueError(f"PNM needs one or three channels, got shape {pixels.shape}")
-    if pixels.dtype != np.uint8:
+    if pixels.dtype != "uint8":
         raise ValueError(f"PNM needs uint8 pixels, got {pixels.dtype}")
     height, width, channels = pixels.shape
     header = f"{'P5' if channels == 1 else 'P6'}\n{width} {height}\n255\n".encode("ascii")

@@ -41,11 +41,13 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
 from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
+from .formats import FormatError, _check_utf8
+# The layouts are defined with the other options and are also read from here.
+from .options import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatLayout  # noqa: F401
 from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
 
 _WRAP_STEP = 1 << 32
@@ -59,66 +61,6 @@ _CONTROL = re.compile(rb"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 # faster; smaller ones cut the encode peak by 1-3 MB but ran slower, as more
 # windows were joined across blocks (ROADMAP, "Decided against").
 _BLOCK_RECORDS = 1 << 16
-
-
-class FormatError(ValueError):
-    """Malformed input data; the message carries the position of the defect."""
-
-
-@dataclass(frozen=True)
-class AedatLayout:
-    """Bit layout of one 32-bit AEDAT 2.0 address word.
-
-    Masks are given right-aligned (applied after shifting), e.g. a 7-bit
-    field is mask 0x7F. ``polarity_on_value`` names the raw polarity bit
-    value that maps to p=+1; hardware conventions disagree, so it is data.
-    ``type_bit``, when set, marks non-DVS records (IMU, special events):
-    records with that bit set are skipped and counted, not parsed.
-    Timestamps are in ticks of one microsecond, as AEDAT 2.0 records them.
-    """
-
-    x_shift: int
-    x_mask: int
-    y_shift: int
-    y_mask: int
-    polarity_shift: int
-    polarity_on_value: int
-    type_bit: int | None = None
-
-    def __post_init__(self):
-        if self.polarity_on_value not in (0, 1):
-            raise ValueError("polarity_on_value must be 0 or 1")
-        fields = [
-            ("x", self.x_mask << self.x_shift),
-            ("y", self.y_mask << self.y_shift),
-            ("polarity", 1 << self.polarity_shift),
-        ]
-        if self.type_bit is not None:
-            fields.append(("type", 1 << self.type_bit))
-        for i, (name_a, bits_a) in enumerate(fields):
-            if bits_a >> 32:
-                raise ValueError(f"{name_a} bit field lies outside the 32-bit address word")
-            for name_b, bits_b in fields[i + 1 :]:
-                if bits_a & bits_b:
-                    raise ValueError(f"{name_a} and {name_b} bit fields overlap")
-
-
-# x at bits 1-7, y at bits 8-14, polarity at bit 0 with raw 0 -> +1
-DVS128_LAYOUT = AedatLayout(
-    x_shift=1, x_mask=0x7F, y_shift=8, y_mask=0x7F, polarity_shift=0, polarity_on_value=0
-)
-
-# x at bits 12-21, y at bits 22-30, polarity at bit 11 with raw 1 -> +1;
-# bit 31 set marks non-DVS packets (IMU etc.), which are skipped.
-DAVIS240C_LAYOUT = AedatLayout(
-    x_shift=12,
-    x_mask=0x3FF,
-    y_shift=22,
-    y_mask=0x1FF,
-    polarity_shift=11,
-    polarity_on_value=1,
-    type_bit=31,
-)
 
 
 def parse_aedat2(data: bytes, layout: AedatLayout, geometry: SensorGeometry) -> EventStream:
@@ -375,14 +317,6 @@ class TextReader:
                 ts, xs, ys, ps = [], [], [], []
         if ts:
             yield EventStream(geometry, xs, ys, ts, ps)
-
-
-def _check_utf8(line: str, lineno: int) -> None:
-    """Refuse a non-ASCII line holding bytes that were not UTF-8, read as lone surrogates."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        raise FormatError(f"line {lineno}: not valid UTF-8") from None
 
 
 # Events write_text formats at a time: its text is built slice by slice, so

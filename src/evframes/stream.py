@@ -1,4 +1,4 @@
-"""Core event data model: sensor geometry and columnar event streams.
+"""Core event data model: columnar event streams of a sensor geometry.
 
 An event stream is stored column-wise (struct-of-arrays) so that millions of
 events can be filtered, windowed and rasterized with numpy at full speed.
@@ -11,37 +11,15 @@ stream read in blocks, in two passes; :func:`truncate_by_ratio` is its join.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
+# The geometries are defined with the other options and are also read from here.
+from .options import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry  # noqa: F401
 
 # Largest timestamp (us) an int64 column, and the frame tensor's window edges, can hold.
-MAX_TIMESTAMP_US = int(np.iinfo(np.int64).max)
-# Most frames a frame tensor holds: frame_count is a u32 in format version 1.
-MAX_FRAME_COUNT = (1 << 32) - 1
-
-
-@dataclass(frozen=True)
-class SensorGeometry:
-    """Pixel-array dimensions of the sensor that produced a stream."""
-
-    width: int
-    height: int
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"geometry must be at least 1x1, got {self.width}x{self.height}")
-        side = int(np.iinfo(np.int32).max)  # so that every in-bounds x and y fits its column
-        if max(self.width, self.height) > side:
-            raise ValueError(
-                f"geometry sides must be at most {side}, got {self.width}x{self.height}"
-            )
-
-
-DVS128_GEOMETRY = SensorGeometry(128, 128)
-DAVIS240C_GEOMETRY = SensorGeometry(240, 180)
+MAX_TIMESTAMP_US = (1 << 63) - 1
 
 
 class EventStream:

@@ -18,9 +18,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .stream import MAX_FRAME_COUNT, MAX_TIMESTAMP_US, EventStream, SensorGeometry
-
-DEFAULT_WINDOW_US = 80_000
+from .formats import MAX_FRAME_COUNT
+from .options import DEFAULT_WINDOW_US
+from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
 
 
 @dataclass(frozen=True)

@@ -168,3 +168,26 @@ def parse_text_whole(text, geometry):
         ys.append(y)
         ps.append(p)
     return EventStream(geometry, xs, ys, ts, ps)
+
+
+def temporal_average_pool_numpy(vectors):
+    """The pooling rule in numpy arrays, the reference for ``temporal_average_pool``.
+
+    Returns (float64 class means, label). Input checks are tested separately.
+    """
+    ordered = sorted(vectors, key=lambda v: v.chunk_index)
+    k = len(ordered[0].scores)
+    total = np.zeros(k, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for v in ordered:
+            total += v.scores
+    mean = total / len(ordered)
+    over = ~np.isfinite(mean)  # the scores are finite, so only the sum overflowed
+    if over.any():
+        # Scaled by each class's largest magnitude, the scores sum to at
+        # most n in magnitude, so neither the sum nor the mean overflows.
+        scores = np.array([v.scores[over] for v in ordered])
+        scale = np.abs(scores).max(axis=0)
+        mean[over] = (scores / scale).sum(axis=0) / len(ordered) * scale
+    label = int(np.argmax(mean))  # argmax takes the lowest index on ties
+    return mean, label

@@ -329,6 +329,24 @@ class TestChunk:
             f"{j - 2} {j - 1} {j}\n" for j in range(2, 50_000) if not all(empty[j - 2 : j + 1])
         )
 
+    def test_memory_holds_one_byte_per_flag(self, tmp_path):
+        # 60,000 one-pixel frames, a third of them empty: a list of their flags
+        # takes 480 kB in slots alone, a bytearray 60 kB.
+        path, manifest = tmp_path / "frames.evfr", tmp_path / "chunks.txt"
+        n = 60_000
+        empty = [i // 3 % 3 == 0 for i in range(n)]
+        prefix = struct.Struct("<qqBB")  # the prefix and the one pixel byte
+        path.write_bytes(
+            struct.pack("<4sBIIII", b"EVFR", 1, 1, 1, 1, n)
+            + b"".join(prefix.pack(i, i + 1, e, 0) for i, e in enumerate(empty))
+        )
+        code, peak = traced_peak("chunk", path, "--policy", "drop_all_empty_chunks", "-o", manifest)
+        assert code == 0
+        assert peak < 512 << 10
+        assert manifest.read_text() == "".join(
+            f"{j - 2} {j - 1} {j}\n" for j in range(2, n) if not all(empty[j - 2 : j + 1])
+        )
+
     @pytest.mark.parametrize(
         "corrupt,message",
         [
@@ -394,6 +412,65 @@ class TestAggregate:
         scores.write_bytes(text.encode())
         assert run("aggregate", scores) == 0
         assert capsys.readouterr().out.endswith("label: 1\nlabel_name: th\u00e9\n")
+
+
+class TestWithoutNumpy:
+    """`import evframes`, `--help`, `chunk` and `aggregate` never import numpy.
+
+    Each runs `python -m evframes` in a child, which reports at exit whether
+    numpy was imported. Only a score table whose sums overflow may import it,
+    for the rescale of the overflowing classes.
+    """
+
+    CHILD = (
+        "import atexit, runpy, sys; "
+        "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr)); "
+        "runpy.run_module('evframes', run_name='__main__', alter_sys=True)"
+    )
+
+    def run_child(self, *argv):
+        result = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *map(str, argv)],
+            capture_output=True, env=child_env(), timeout=60,
+        )
+        *_, numpy_imported = result.stderr.decode().splitlines()
+        return result.returncode, numpy_imported == "True"
+
+    def test_import_alone(self):
+        code = "import sys, evframes; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=child_env(), timeout=60
+        )
+        assert result.stdout == b"False\n"
+
+    def test_commands(self, tmp_path):
+        frames, bad_frames = tmp_path / "frames.evfr", tmp_path / "bad.evfr"
+        pixel = np.zeros((1, 1, 1), dtype=np.uint8)
+        frames.write_bytes(
+            write_frame_tensor([EncodedFrame(pixel, None, None, i, i + 1, i < 3) for i in range(6)])
+        )
+        bad_frames.write_bytes(b"JUNK" + frames.read_bytes()[4:])
+        scores, bad_scores = tmp_path / "scores.txt", tmp_path / "bad.txt"
+        scores.write_text("# k=2 classes=walk,run\n0,0.2,0.8\n3,0.4,0.6\n")
+        bad_scores.write_text("# k=2\n0,0.2,1e999\n")
+        out = tmp_path / "out.txt"
+        for argv, code in [
+            (["--help"], 0),
+            (["chunk", frames], 0),
+            (["chunk", frames, "--policy", "drop_all_empty_chunks", "-o", out], 0),
+            (["chunk", bad_frames], 1),
+            (["chunk", frames, "--policy", "nope"], 2),
+            (["aggregate", scores], 0),
+            (["aggregate", scores, "-o", out], 0),
+            (["aggregate", bad_scores], 1),
+            (["aggregate"], 2),
+        ]:
+            assert self.run_child(*argv) == (code, False), argv
+
+    def test_overflowing_table_may_import_numpy(self, tmp_path):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("# k=2\n0,1.5e308,1.7e308\n1,1.5e308,1.7e308\n")
+        assert self.run_child("aggregate", scores) == (0, True)
 
 
 class TestSimulate:

@@ -13,6 +13,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_exactly_the_public_names():
+    # The package imports a name on first use, so vars() holds only resolved names.
+    for name in evframes.__all__:
+        getattr(evframes, name)
     public = {
         name
         for name, value in vars(evframes).items()
@@ -20,6 +23,26 @@ def test_all_names_exactly_the_public_names():
     }
     # Equal as sorted lists: no name is missing, left over or listed twice.
     assert sorted(evframes.__all__) == sorted(public | {"__version__"})
+
+
+def test_lazy_names_resolve_as_imports_do():
+    namespace = {}
+    exec("from evframes import *", namespace)
+    assert set(evframes.__all__) <= set(namespace)
+    for module in evframes._EXPORTS:
+        assert isinstance(getattr(evframes, module), types.ModuleType)
+    for name in set(evframes.__all__) - {"BACKEND", "__version__"}:
+        module = evframes._MODULE_OF[name]
+        assert getattr(evframes, name) is getattr(getattr(evframes, module), name)
+        assert namespace[name] is getattr(evframes, name)
+    assert not hasattr(evframes, "no_such_name")
+    # Names defined in options and formats are still read where they were defined before.
+    for module, name in [
+        ("stream", "SensorGeometry"), ("stream", "DVS128_GEOMETRY"), ("ingest", "AedatLayout"),
+        ("ingest", "DAVIS240C_LAYOUT"), ("ingest", "FormatError"), ("encoders", "KINDS"),
+        ("encoders", "POLARITY_IGNORE"), ("windowing", "DEFAULT_WINDOW_US"),
+    ]:
+        assert hasattr(getattr(evframes, module), name)
 
 
 def test_block_forms_beside_whole_stream_functions():

@@ -1,9 +1,37 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from evframes.cli import main
+from evframes.formats import write_scores
 from evframes.scoring import ScoreVector, VideoPrediction, temporal_average_pool
+
+from tests.oracles import temporal_average_pool_numpy
+
+# A column whose sum overflows, so that its mean is rescaled, and whose rescaled
+# sum numpy takes pairwise: a sequential sum ends in ...995e+306, not 7.56e+306.
+PAIRWISE_COLUMN = [
+    4.99e307, -2.73e307, -7.28e307, 9.45e307, 3.66e307,
+    7.04e307, 4.39e307, -7.93e307, -7.78e307, 3.75e307,
+]
+
+
+@st.composite
+def score_tables(draw):
+    """(rows, chunk indices in any order) of finite scores, huge ones included."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    score = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 1.0, 1.7e308, -1.7e308, 5e-324, -5e-324]
+    )
+    rows = draw(st.lists(st.lists(score, min_size=k, max_size=k), min_size=n, max_size=n))
+    indices = draw(st.lists(st.integers(-100, 100), min_size=n, max_size=n, unique=True))
+    return rows, indices
 
 
 class TestTemporalAveragePool:
@@ -112,6 +140,48 @@ class TestTemporalAveragePool:
     def test_class_name_count_must_match(self):
         with pytest.raises(ValueError, match="class names"):
             temporal_average_pool([ScoreVector([0.2, 0.8], 0)], class_names=["only"])
+
+
+class TestOnePoolingRule:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(score_tables())
+    @example(([[1.5e308, 0.1, -1e308], [1.5e308, 0.2, -1e308]], [0, 1]))  # overflowing classes
+    @example(([[v] for v in PAIRWISE_COLUMN], list(range(10))))  # one column, pairwise sum
+    @example(([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]], [0, 1]))  # a tie
+    @example(([[-0.0, -0.0], [-5e-324, 0.0], [0.0, 0.0]], [0, 1, 2]))  # -0.0, and a -0.0 mean
+    @example(([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], [7, -3, 2]))  # chunk indices out of order
+    def test_pool_matches_numpy_oracle_and_cli(self, table):
+        rows, indices = table
+        pooled = temporal_average_pool([ScoreVector(r, i) for r, i in zip(rows, indices)])
+        from_arrays = temporal_average_pool(
+            [ScoreVector(np.array(r), i) for r, i in zip(rows, indices)]
+        )
+        mean, label = temporal_average_pool_numpy(
+            [ScoreVector(r, i) for r, i in zip(rows, indices)]
+        )
+        assert pooled.mean_scores.tobytes() == mean.tobytes()
+        assert from_arrays.mean_scores.tobytes() == mean.tobytes()
+        assert pooled.label == from_arrays.label == label
+        # `evframes aggregate` prints the same means and label.
+        vectors = [ScoreVector(r, i) for r, i in zip(rows, indices)]
+        with tempfile.TemporaryDirectory() as d:
+            table_path, out = Path(d, "scores.txt"), Path(d, "prediction.txt")
+            table_path.write_text(write_scores(vectors))
+            assert main(["aggregate", str(table_path), "-o", str(out)]) == 0
+            printed = out.read_text()
+        means = " ".join(repr(float(m)) for m in mean)
+        assert printed == f"mean_scores: {means}\nlabel: {label}\n"
+
+    def test_pairwise_example_needs_numpy_sum(self):
+        # The example above is one that a sequential rescaled sum gets wrong.
+        col = np.array(PAIRWISE_COLUMN)
+        scale = np.abs(col).max()
+        total = 0.0
+        for v in (col / scale).tolist():
+            total += v
+        assert total / len(col) * scale != temporal_average_pool_numpy(
+            [ScoreVector([v], i) for i, v in enumerate(PAIRWISE_COLUMN)]
+        )[0][0]
 
 
 class TestScoreVector:

@@ -64,57 +64,4 @@ __version__ = "0.1.0"
 # The simulator has one implementation; reports name it.
 BACKEND = "numpy"
 
-__all__ = [
-    "BACKEND",
-    "DEFAULT_WINDOW_US",
-    "DAVIS240C_GEOMETRY",
-    "DAVIS240C_LAYOUT",
-    "DVS128_GEOMETRY",
-    "DVS128_LAYOUT",
-    "KIND_EVENT_COUNT",
-    "KIND_TIMESTAMP",
-    "POLARITY_IGNORE",
-    "POLARITY_MERGED",
-    "POLICY_DROP_ALL_EMPTY",
-    "POLICY_KEEP",
-    "AedatLayout",
-    "AedatReader",
-    "Chunk",
-    "EncodedFrame",
-    "EventStream",
-    "EventWindow",
-    "FormatError",
-    "FrameTensor",
-    "FrameTensorReader",
-    "ScoreVector",
-    "SensorGeometry",
-    "SimConfig",
-    "TextReader",
-    "VideoPrediction",
-    "WindowConfig",
-    "apply_empty_policy",
-    "encode_blocks",
-    "encode_stream",
-    "encode_window",
-    "event_count_field",
-    "make_chunks",
-    "parse_aedat2",
-    "parse_aedat2_stats",
-    "parse_scores",
-    "parse_text",
-    "quantize",
-    "read_frame_tensor",
-    "segment",
-    "select_chunks",
-    "simulate",
-    "temporal_average_pool",
-    "timestamp_field",
-    "truncate_blocks",
-    "truncate_by_ratio",
-    "write_frame_tensor",
-    "write_frame_tensor_to",
-    "write_pnm",
-    "write_scores",
-    "write_text",
-    "__version__",
-]
+__all__ = ["BACKEND", *_MODULE_OF, "__version__"]

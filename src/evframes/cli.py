@@ -183,7 +183,7 @@ def cmd_aggregate(args) -> int:
         vectors, class_names = parse_scores(f.read())
     prediction = temporal_average_pool(vectors, class_names=class_names)
     lines = [
-        "mean_scores: " + " ".join(map(repr, prediction._floats())),
+        "mean_scores: " + " ".join(map(repr, prediction.values)),
         f"label: {prediction.label}",
     ]
     if prediction.label_name is not None:

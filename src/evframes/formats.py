@@ -288,11 +288,11 @@ def write_scores(vectors: Sequence[ScoreVector], class_names: Sequence[str] | No
     if not vectors:
         raise ValueError("no score vectors to write")
     ordered = sorted(vectors, key=lambda v: v.chunk_index)
-    k = len(ordered[0].scores)
+    k = len(ordered[0].values)
     for i, v in enumerate(ordered):
-        if len(v.scores) != k:
+        if len(v.values) != k:
             raise ValueError(
-                f"chunk {v.chunk_index}: score vector has {len(v.scores)} classes, expected {k}"
+                f"chunk {v.chunk_index}: score vector has {len(v.values)} classes, expected {k}"
             )
         if i and v.chunk_index == ordered[i - 1].chunk_index:
             raise ValueError(f"chunk {v.chunk_index}: chunk index appears more than once")
@@ -307,7 +307,7 @@ def write_scores(vectors: Sequence[ScoreVector], class_names: Sequence[str] | No
         header += " classes=" + ",".join(class_names)
     lines = [header]
     for v in ordered:
-        lines.append(",".join([str(v.chunk_index), *map(repr, v.scores.tolist())]))
+        lines.append(",".join([str(v.chunk_index), *map(repr, v.values)]))
     return "\n".join(lines) + "\n"
 
 

@@ -4,11 +4,13 @@ Sensor geometries and AEDAT address layouts (``--geometry``, ``--layout``),
 frame kinds and polarity modes (``--kind``, ``--polarity``) and the default
 window length (``--window-us``). The modules that use them (``stream``,
 ``ingest``, ``encoders``, ``windowing``) import them from here, so that the
-CLI can offer them as choices without importing numpy.
+CLI can offer them as choices without importing numpy. ``as_int`` is the one
+rule by which a configured size or index becomes a Python int.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 KIND_TIMESTAMP = "timestamp"
@@ -21,14 +23,24 @@ POLARITY_IGNORE = "ignore"
 DEFAULT_WINDOW_US = 80_000
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as a Python int, which cannot wrap as a numpy scalar does; else a ValueError."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SensorGeometry:
-    """Pixel-array dimensions of the sensor that produced a stream."""
+    """Pixel-array dimensions of the sensor that produced a stream, as Python ints."""
 
     width: int
     height: int
 
     def __post_init__(self):
+        object.__setattr__(self, "width", as_int(self.width, "geometry width"))
+        object.__setattr__(self, "height", as_int(self.height, "geometry height"))
         if self.width < 1 or self.height < 1:
             raise ValueError(f"geometry must be at least 1x1, got {self.width}x{self.height}")
         side = (1 << 31) - 1  # the int32 maximum, so that every in-bounds x and y fits its column

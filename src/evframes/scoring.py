@@ -7,9 +7,10 @@ whose sum overflows float64 has its mean taken over scores scaled down by
 their largest magnitude instead, so every mean is finite. The
 predicted label is the argmax with lowest-index tie-break.
 
-Vectors and predictions keep their scores as Python floats and build their
-float64 arrays when these are first read. Parsing and pooling a score table
-therefore need no numpy unless a class's sum overflows.
+Vectors and predictions store their scores once, as a tuple of Python
+floats in ``values``, and build a new float64 array from it on each read of
+``scores`` or ``mean_scores``. Parsing and pooling a score table therefore
+need no numpy unless a class's sum overflows.
 """
 
 from __future__ import annotations
@@ -17,24 +18,27 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
+from .options import as_int
+
 if TYPE_CHECKING:
     import numpy as np
 
 
 class ScoreVector:
-    """Class scores for one chunk: ``scores`` is a non-empty float64 vector of finite values.
+    """Class scores for one chunk: a non-empty vector of finite floats.
 
-    Scores given as a list of Python floats, as ``formats.parse_scores``
-    gives them, are checked and kept as they are until ``scores`` is first
-    read. Any other value is converted by ``numpy.asarray(scores,
-    dtype=numpy.float64)``, and ``scores`` is that array.
+    ``values`` is the scores copied into a tuple of Python floats when the
+    vector is built, and ``scores`` a new float64 array of them on each
+    read. A list of Python floats, as ``formats.parse_scores`` gives, is
+    taken as it is; any other value is converted by ``numpy.asarray(scores,
+    dtype=numpy.float64)``. ``chunk_index`` is a Python int.
     """
 
-    __slots__ = ("chunk_index", "_scores")
+    __slots__ = ("values", "chunk_index")
 
     def __init__(self, scores, chunk_index: int):
         if isinstance(scores, list) and all(type(s) is float for s in scores):
-            values = scores = tuple(scores)
+            values = scores
         else:
             import numpy as np
 
@@ -44,18 +48,12 @@ class ScoreVector:
             raise ValueError("scores must be a non-empty vector")
         if not all(map(math.isfinite, values)):
             raise ValueError("scores must be finite")
-        self.chunk_index = chunk_index
-        self._scores = scores
+        self.values = tuple(values)
+        self.chunk_index = as_int(chunk_index, "chunk index")
 
     @property
     def scores(self) -> np.ndarray:
-        if isinstance(self._scores, tuple):
-            self._scores = _float64(self._scores)
-        return self._scores
-
-    def _floats(self) -> Sequence[float]:
-        """The scores as Python floats; read before ``scores``, without numpy."""
-        return self._scores if isinstance(self._scores, tuple) else self._scores.tolist()
+        return _float64(self.values)
 
     def __repr__(self) -> str:
         return f"ScoreVector(scores={self.scores!r}, chunk_index={self.chunk_index!r})"
@@ -64,28 +62,20 @@ class ScoreVector:
 class VideoPrediction:
     """Mean class scores over all chunks plus the winning label.
 
-    :func:`temporal_average_pool` gives the means as a tuple of Python
-    floats, which ``mean_scores`` turns into a float64 array when it is
-    first read.
+    ``values`` is the means as a tuple of Python floats, and
+    ``mean_scores`` a new float64 array of them on each read.
     """
 
-    __slots__ = ("label", "label_name", "_mean_scores")
+    __slots__ = ("values", "label", "label_name")
 
     def __init__(self, mean_scores, label: int, label_name: str | None = None):
-        self._mean_scores = mean_scores
+        self.values = tuple(map(float, mean_scores))
         self.label = label
         self.label_name = label_name
 
     @property
     def mean_scores(self) -> np.ndarray:
-        if isinstance(self._mean_scores, tuple):
-            self._mean_scores = _float64(self._mean_scores)
-        return self._mean_scores
-
-    def _floats(self) -> Sequence[float]:
-        """The means as Python floats; read before ``mean_scores``, without numpy."""
-        m = self._mean_scores
-        return m if isinstance(m, tuple) else m.tolist()
+        return _float64(self.values)
 
     def __repr__(self) -> str:
         names = f"label={self.label!r}, label_name={self.label_name!r}"
@@ -109,7 +99,7 @@ def temporal_average_pool(
     if len(vectors) == 0:
         raise ValueError("no chunks to aggregate")
     ordered = sorted(vectors, key=lambda v: v.chunk_index)
-    rows = [v._floats() for v in ordered]
+    rows = [v.values for v in ordered]
     k = len(rows[0])
     for v, row in zip(ordered, rows):
         if len(row) != k:
@@ -136,4 +126,4 @@ def temporal_average_pool(
             mean[i] = m
     label = max(range(k), key=mean.__getitem__)  # max keeps the lowest index on ties
     name = class_names[label] if class_names is not None else None
-    return VideoPrediction(tuple(mean), label, name)
+    return VideoPrediction(mean, label, name)

@@ -12,14 +12,13 @@ encodes its windows and folds one with more events than its frame has cells.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .formats import MAX_FRAME_COUNT
-from .options import DEFAULT_WINDOW_US
+from .options import DEFAULT_WINDOW_US, as_int
 from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
 
 
@@ -30,13 +29,7 @@ class WindowConfig:
     window_length_us: int = DEFAULT_WINDOW_US
 
     def __post_init__(self):
-        # A Python int, so that window-end arithmetic cannot wrap as numpy scalars do.
-        try:
-            length = operator.index(self.window_length_us)
-        except TypeError:
-            raise ValueError(
-                f"window length must be an integer, got {self.window_length_us!r}"
-            ) from None
+        length = as_int(self.window_length_us, "window length")
         if length <= 0:
             raise ValueError(f"window length must be positive, got {length}")
         object.__setattr__(self, "window_length_us", length)

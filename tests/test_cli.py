@@ -473,6 +473,24 @@ class TestWithoutNumpy:
         assert self.run_child("aggregate", scores) == (0, True)
 
 
+def test_score_layer_runs_without_numpy():
+    code = (
+        "import sys\n"
+        "from evframes.formats import parse_scores, write_scores\n"
+        "from evframes.scoring import ScoreVector, temporal_average_pool\n"
+        "vectors = [ScoreVector([0.25, 0.75], 2), ScoreVector([0.5, 0.125], 0)]\n"
+        "back, names = parse_scores(write_scores(vectors, ['walk', 'run']))\n"
+        "p = temporal_average_pool(back, names)\n"
+        "print([v.values for v in back], p.values, p.label_name, 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=child_env(), timeout=60
+    )
+    assert result.stdout.decode() == (
+        "[(0.5, 0.125), (0.25, 0.75)] (0.375, 0.4375) run False\n"
+    ), result.stderr.decode()
+
+
 class TestSimulate:
     def test_constant_scene_gives_empty_stream(self, tmp_path):
         tensor = tmp_path / "in.evfr"

@@ -203,3 +203,36 @@ class TestScoreVector:
         p = VideoPrediction(np.array([0.3, 0.7]), 1, "run")
         assert p.label == 1
         assert p.label_name == "run"
+
+    def test_values_are_python_floats_and_index_a_python_int(self):
+        v = ScoreVector(np.array([1, 2], dtype=np.int32), np.int64(3))
+        assert v.values == (1.0, 2.0) and all(type(s) is float for s in v.values)
+        assert type(v.chunk_index) is int and v.chunk_index == 3
+
+    @pytest.mark.parametrize("index", [1.5, "1", None])
+    def test_chunk_index_must_be_an_integer(self, index):
+        with pytest.raises(ValueError, match=rf"^chunk index must be an integer, got {index!r}$"):
+            ScoreVector([1.0, 2.0], index)
+
+    def test_caller_edits_to_its_array_do_not_reach_the_vector(self):
+        scores = np.array([0.0, 0.25, 0.75])
+        v = ScoreVector(scores, 0)
+        scores[1] = np.nan
+        assert write_scores([v]) == "# k=3\n0,0.0,0.25,0.75\n"
+        assert temporal_average_pool([v]).mean_scores.tolist() == [0.0, 0.25, 0.75]
+
+    def test_each_read_of_scores_is_a_new_array(self):
+        v = ScoreVector([0.25, 0.75], 1)
+        v.scores[1] = np.inf
+        assert v.scores is not v.scores
+        assert temporal_average_pool([v]).mean_scores.tolist() == [0.25, 0.75]
+
+    def test_each_read_of_mean_scores_is_a_new_float64_array(self):
+        p = VideoPrediction([0.3, 0.7], 1)
+        assert isinstance(p.mean_scores, np.ndarray) and p.mean_scores.dtype == np.float64
+        p.mean_scores[0] = 9.0
+        assert p.mean_scores.tolist() == [0.3, 0.7] and p.values == (0.3, 0.7)
+
+    def test_prediction_refuses_scores_that_are_not_numbers(self):
+        with pytest.raises(ValueError):
+            VideoPrediction("ab", 1)

@@ -61,6 +61,21 @@ class TestEventStream:
         with pytest.raises(ValueError):
             SensorGeometry(0, 128)
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [((4.0, 4), "width must be an integer, got 4.0"),
+         ((4, 4.0), "height must be an integer, got 4.0"),
+         (("4", 4), "width must be an integer, got '4'")],
+    )
+    def test_geometry_sides_must_be_integers(self, size, message):
+        with pytest.raises(ValueError, match=f"^geometry {message}$"):
+            SensorGeometry(*size)
+
+    def test_geometry_sides_are_python_ints(self):
+        g = SensorGeometry(np.int64(128), np.int32(64))
+        assert (type(g.width), type(g.height)) == (int, int)
+        assert (g.width, g.height) == (128, 64)
+
     @pytest.mark.parametrize("size", [(2**31, 1), (1, 2**31), (4_000_000_000, 1)])
     def test_geometry_must_fit_int32_columns(self, size):
         with pytest.raises(ValueError, match=r"^geometry sides must be at most 2147483647, got "):

@@ -22,7 +22,7 @@ from .chunking import POLICIES, POLICY_KEEP, select_chunks
 from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pnm
 from .options import (
     DAVIS240C_GEOMETRY, DAVIS240C_LAYOUT, DEFAULT_WINDOW_US, DVS128_GEOMETRY, DVS128_LAYOUT,
-    KIND_TIMESTAMP, KINDS, POLARITY_IGNORE, POLARITY_MERGED, SensorGeometry,
+    KIND_TIMESTAMP, KINDS, POLARITY_CHANNELS, POLARITY_MERGED, SensorGeometry,
 )
 from .scoring import temporal_average_pool
 
@@ -149,13 +149,13 @@ def _add_stream_input(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_encode(args) -> int:
-    from .encoders import _CHANNELS, encode_blocks
+    from .encoders import encode_blocks
     from .windowing import WindowConfig
 
     with _open_blocks(args) as reader, _replace_on_success(Path(args.output)) as f:
         config = WindowConfig(args.window_us)
         frames = encode_blocks(reader, config, args.kind, args.polarity)
-        shape = (reader.geometry.height, reader.geometry.width, _CHANNELS[args.polarity])
+        shape = (reader.geometry.height, reader.geometry.width, POLARITY_CHANNELS[args.polarity])
         write_frame_tensor_to(f, frames, shape)
         if args.emit_images is not None:
             # Before the tensor replaces the output, so that a failure here leaves it as it was.
@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
     with open(args.input, "rb") as f:
         tensor = FrameTensorReader(f)
         # The prefix pass checks every empty flag before the checks below.
-        times = np.array([start for start, _, _ in tensor.prefixes()], dtype=np.int64)
+        times = np.fromiter((s for s, _, _ in tensor.prefixes()), np.int64, tensor.frame_count)
         if tensor.channels != 1:
             raise ValueError(
                 f"simulate needs 1-channel intensity frames, got {tensor.channels} channels"
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--polarity",
-        choices=(POLARITY_MERGED, POLARITY_IGNORE),
+        choices=POLARITY_CHANNELS,
         default=POLARITY_MERGED,
         help="merged keeps polarities in separate channels; ignore pools them",
     )

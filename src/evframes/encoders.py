@@ -33,7 +33,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .options import KIND_EVENT_COUNT, KIND_TIMESTAMP, KINDS, POLARITY_IGNORE, POLARITY_MERGED
+from .options import (
+    KIND_EVENT_COUNT, KIND_TIMESTAMP, KINDS, POLARITY_CHANNELS, POLARITY_IGNORE, POLARITY_MERGED,
+)
 from .stream import EventStream, SensorGeometry
 from .windowing import EventWindow, WindowConfig, _close, _pieces
 
@@ -148,16 +150,22 @@ def event_count_field(window: EventWindow, polarity: int | None = None) -> np.nd
 
 
 def quantize(field: np.ndarray, v_max: float) -> np.ndarray:
-    """Map non-negative field values to uint8 as round(255 * v / v_max), half up.
+    """Map field values in [0, v_max] to uint8 as round(255 * v / v_max), half up.
 
     The order of operations matters: multiplying by a precomputed
     255.0 / v_max can land a hair below exact halves (e.g. 25 of 50 must
     give 127.5 -> 128), so scale before dividing. Integer counts promote
     exactly; a v_max of 1.0 skips the division, which would change nothing.
+    v_max <= 0 gives zeros; NaN, inf or, if v_max > 0, a value outside [0, v_max] is refused.
     """
+    value = np.array(field, dtype=np.float64)
+    if np.isnan(v_max) or not np.isfinite(value).all():
+        raise ValueError("quantize needs finite values and a v_max that is not NaN")
     if v_max <= 0.0:
-        return np.zeros(field.shape, dtype=np.uint8)
-    return _quantize_into(np.array(field, dtype=np.float64), v_max)
+        return np.zeros(value.shape, dtype=np.uint8)
+    if ((value < 0.0) | (value > v_max)).any():
+        raise ValueError(f"quantize needs values in [0, {v_max}]")
+    return _quantize_into(value, v_max)
 
 
 def _quantize_into(value: np.ndarray, v_max: float) -> np.ndarray:
@@ -169,9 +177,6 @@ def _quantize_into(value: np.ndarray, v_max: float) -> np.ndarray:
     return np.floor(value, out=value).astype(np.uint8)
 
 
-_CHANNELS = {POLARITY_MERGED: 3, POLARITY_IGNORE: 1}
-
-
 def encode_window(window: EventWindow, kind: str, polarity_mode: str) -> EncodedFrame:
     """Encode one window as a 3-channel (merged) or 1-channel (ignore) frame.
 
@@ -181,7 +186,7 @@ def encode_window(window: EventWindow, kind: str, polarity_mode: str) -> Encoded
     """
     _check_modes(kind, polarity_mode)
     g = window.geometry
-    pixels = np.zeros((g.height, g.width, _CHANNELS[polarity_mode]), dtype=np.uint8)
+    pixels = np.zeros((g.height, g.width, POLARITY_CHANNELS[polarity_mode]), dtype=np.uint8)
     if not window.empty:
         cell, value, v_max = _scatter(window, kind, pixels.shape[2])
         value = _quantize_into(value.astype(np.float64, copy=False), v_max)
@@ -192,7 +197,7 @@ def encode_window(window: EventWindow, kind: str, polarity_mode: str) -> Encoded
 
 
 def _check_modes(kind: str, polarity_mode: str) -> None:
-    if polarity_mode not in _CHANNELS:
+    if polarity_mode not in POLARITY_CHANNELS:
         raise ValueError(f"unknown polarity mode {polarity_mode!r}")
     if kind not in KINDS:
         raise ValueError(f"unknown frame kind {kind!r}, expected one of {KINDS}")
@@ -232,7 +237,7 @@ def encode_blocks(
 
 
 def _encode_blocks(blocks, T: int, kind: str, polarity_mode: str) -> Iterator[EncodedFrame]:
-    channels = _CHANNELS[polarity_mode]
+    channels = POLARITY_CHANNELS[polarity_mode]
     pieces, buffered = [], 0
     fold, folding = None, False
     for geometry, start, piece in _pieces(blocks, T):

@@ -14,13 +14,14 @@ same-shaped 8-bit frames plus their window bounds:
                       channel-interleaved
 
 All sizes are implied by the header; a reader rejects files whose length
-does not match exactly. :func:`write_frame_tensor_to` streams: it writes
-the header with a frame_count of 0, then each frame as it arrives, and at
-the end seeks back to patch frame_count, so it holds one frame at a time.
-:func:`write_frame_tensor` has every frame in hand, so it packs the real
-count and joins header, prefixes and pixels into one bytes object sized
-once. Both take each frame's prefix and pixels from one generator that
-checks the frames. Version 1 holds at most ``MAX_FRAME_COUNT`` frames.
+does not match exactly. :func:`write_frame_tensor_to` streams: it takes
+the tensor's shape from its caller, writes the header with a frame_count
+of 0, then each frame as it arrives, and at the end seeks back to patch
+frame_count, so it holds one frame at a time. :func:`write_frame_tensor`
+has every frame in hand, so it packs the real count and joins header,
+prefixes and pixels into one bytes object sized once. Both check each
+frame's shape, uint8 pixels and bounds in one generator. Version 1 holds
+at most ``MAX_FRAME_COUNT`` frames.
 :func:`read_frame_tensor` decodes bytes already in memory, and its frames
 are read-only views of them; :class:`FrameTensorReader` reads a file one
 frame at a time, and its ``prefixes()`` reads only each frame's 17-byte
@@ -40,7 +41,6 @@ functions that handle pixels import it when they are called, so that
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import struct
 import sys
@@ -92,32 +92,28 @@ def write_frame_tensor(
 ) -> bytes:
     """Serialize frames to frame-tensor bytes in one allocation of the exact size.
 
-    Takes the same arguments, checks them the same way and gives the same
-    bytes as :func:`write_frame_tensor_to`.
+    Checks its frames and gives its bytes as :func:`write_frame_tensor_to`
+    does; shape, if not given, is the first frame's.
     """
     frames = list(frames)
-    shape = _tensor_shape(frames[0] if frames else None, shape)
+    if shape is None:
+        if not frames:
+            raise ValueError("shape is required to write an empty frame tensor")
+        shape = frames[0].pixels.shape
     # Every frame is checked, in order, before the header is packed.
     body = [part for record in _frame_records(frames, shape) for part in record]
     return b"".join([_pack_header(shape, len(frames)), *body])
 
 
 def write_frame_tensor_to(
-    f: BinaryIO, frames: Iterable[EncodedFrame], shape: tuple[int, int, int] | None = None
+    f: BinaryIO, frames: Iterable[EncodedFrame], shape: tuple[int, int, int]
 ) -> int:
     """Write frames to a seekable binary file as they arrive; return the frame count.
 
-    shape is (height, width, channels) and is only consulted (and then
-    required) when there are no frames; otherwise it is taken from the
-    first frame, which every frame must match. Frame kind and polarity mode
-    are not recorded. The header goes out first with a frame count of 0,
-    which is patched once the frames are written.
+    shape is the tensor's (height, width, channels), which every frame must
+    match; kind and polarity mode are not recorded. The header goes out
+    first with a frame count of 0, patched once the frames are written.
     """
-    frames = iter(frames)
-    first = next(frames, None)
-    shape = _tensor_shape(first, shape)
-    if first is not None:
-        frames = itertools.chain([first], frames)
     start = f.tell()
     f.write(_pack_header(shape, 0))
     count = 0
@@ -131,18 +127,6 @@ def write_frame_tensor_to(
     return count
 
 
-def _tensor_shape(
-    first: EncodedFrame | None, shape: tuple[int, int, int] | None
-) -> tuple[int, int, int]:
-    """The tensor's (height, width, channels): the first frame's, else the given shape."""
-    if first is not None:
-        shape = first.pixels.shape
-    elif shape is None:
-        raise ValueError("shape is required to write an empty frame tensor")
-    height, width, channels = shape  # any other rank fails here, before a frame is read
-    return height, width, channels
-
-
 def _pack_header(shape: tuple[int, int, int], count: int) -> bytes:
     height, width, channels = shape
     return _HEADER.pack(FRAME_TENSOR_MAGIC, FRAME_TENSOR_VERSION, width, height, channels, count)
@@ -153,8 +137,9 @@ def _frame_records(
 ) -> Iterator[tuple[bytes, np.ndarray]]:
     """Each frame's packed prefix and C-contiguous uint8 pixels, checked in frame order.
 
-    Raises ValueError on a frame of the wrong shape or with non-int64 window
-    bounds, or on the frame that would pass ``MAX_FRAME_COUNT``.
+    Raises ValueError on a frame of another shape, with pixels that are not
+    uint8 or with non-int64 window bounds, or on the frame that would pass
+    ``MAX_FRAME_COUNT``.
     """
     import numpy as np
 
@@ -166,11 +151,13 @@ def _frame_records(
             )
         if frame.pixels.shape != shape:
             raise ValueError(f"frame {i}: shape {frame.pixels.shape} does not match {shape}")
+        if frame.pixels.dtype != np.uint8:
+            raise ValueError(f"frame {i}: pixels must be uint8, got {frame.pixels.dtype}")
         try:
             prefix = _FRAME_PREFIX.pack(frame.window_start, frame.window_end, bool(frame.empty))
         except struct.error:
             raise ValueError(f"frame {i}: window bounds are not int64 values") from None
-        yield prefix, np.ascontiguousarray(frame.pixels, dtype=np.uint8)
+        yield prefix, np.ascontiguousarray(frame.pixels)
 
 
 def read_frame_tensor(data: bytes) -> FrameTensor:

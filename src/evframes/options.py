@@ -1,11 +1,11 @@
 """The values the pipeline is configured with, importable without numpy.
 
 Sensor geometries and AEDAT address layouts (``--geometry``, ``--layout``),
-frame kinds and polarity modes (``--kind``, ``--polarity``) and the default
-window length (``--window-us``). The modules that use them (``stream``,
-``ingest``, ``encoders``, ``windowing``) import them from here, so that the
-CLI can offer them as choices without importing numpy. ``as_int`` is the one
-rule by which a configured size or index becomes a Python int.
+frame kinds, polarity modes and their channels (``--kind``, ``--polarity``)
+and the default window length (``--window-us``). The modules that use them
+(``stream``, ``ingest``, ``encoders``, ``windowing``) import them from here,
+so that the CLI can offer them, and shape a tensor, without numpy. ``as_int``
+is the one rule by which a configured size, index or period becomes an int.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ KINDS = (KIND_TIMESTAMP, KIND_EVENT_COUNT)
 
 POLARITY_MERGED = "merged"
 POLARITY_IGNORE = "ignore"
+POLARITY_CHANNELS = {POLARITY_MERGED: 3, POLARITY_IGNORE: 1}
 
 DEFAULT_WINDOW_US = 80_000
 

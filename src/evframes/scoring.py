@@ -37,23 +37,14 @@ class ScoreVector:
     __slots__ = ("values", "chunk_index")
 
     def __init__(self, scores, chunk_index: int):
-        if isinstance(scores, list) and all(type(s) is float for s in scores):
-            values = scores
-        else:
-            import numpy as np
-
-            scores = np.asarray(scores, dtype=np.float64)
-            values = scores.tolist() if scores.ndim == 1 else []
-        if not values:
-            raise ValueError("scores must be a non-empty vector")
-        if not all(map(math.isfinite, values)):
-            raise ValueError("scores must be finite")
-        self.values = tuple(values)
+        self.values = _finite_floats(scores)
         self.chunk_index = as_int(chunk_index, "chunk index")
 
     @property
     def scores(self) -> np.ndarray:
-        return _float64(self.values)
+        import numpy as np
+
+        return np.array(self.values, dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"ScoreVector(scores={self.scores!r}, chunk_index={self.chunk_index!r})"
@@ -62,30 +53,42 @@ class ScoreVector:
 class VideoPrediction:
     """Mean class scores over all chunks plus the winning label.
 
-    ``values`` is the means as a tuple of Python floats, and
-    ``mean_scores`` a new float64 array of them on each read.
+    ``values`` and ``mean_scores`` are as ``ScoreVector``'s ``values`` and
+    ``scores``; ``label`` is a Python int, an index into them.
     """
 
     __slots__ = ("values", "label", "label_name")
 
     def __init__(self, mean_scores, label: int, label_name: str | None = None):
-        self.values = tuple(map(float, mean_scores))
-        self.label = label
+        self.values = _finite_floats(mean_scores)
+        self.label = as_int(label, "label")
+        if self.label not in range(len(self.values)):
+            raise ValueError(f"label must lie in range({len(self.values)}), got {self.label}")
         self.label_name = label_name
 
     @property
     def mean_scores(self) -> np.ndarray:
-        return _float64(self.values)
+        import numpy as np
+
+        return np.array(self.values, dtype=np.float64)
 
     def __repr__(self) -> str:
         names = f"label={self.label!r}, label_name={self.label_name!r}"
         return f"VideoPrediction(mean_scores={self.mean_scores!r}, {names})"
 
 
-def _float64(values: tuple[float, ...]) -> np.ndarray:
-    import numpy as np
+def _finite_floats(scores) -> tuple[float, ...]:
+    """A non-empty vector of finite scores as a tuple of Python floats, as ScoreVector takes it."""
+    if not (isinstance(scores, list) and all(type(s) is float for s in scores)):
+        import numpy as np
 
-    return np.array(values, dtype=np.float64)
+        scores = np.asarray(scores, dtype=np.float64)
+        scores = scores.tolist() if scores.ndim == 1 else []
+    if not scores:
+        raise ValueError("scores must be a non-empty vector")
+    if not all(map(math.isfinite, scores)):
+        raise ValueError("scores must be finite")
+    return tuple(scores)
 
 
 def temporal_average_pool(

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .options import as_int
 from .stream import EventStream, SensorGeometry
 
 # Crossing times are float64, which holds every integer microsecond up to 2**53.
@@ -48,8 +49,10 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.contrast_threshold < math.inf:
             raise ValueError("contrast_threshold must be positive and finite")
-        if self.refractory_period_us < 0:
+        period = as_int(self.refractory_period_us, "refractory_period_us")
+        if period < 0:
             raise ValueError("refractory_period_us must be non-negative")
+        object.__setattr__(self, "refractory_period_us", period)
 
 
 def simulate(intensities, timestamps_us, config: SimConfig = SimConfig()) -> EventStream:

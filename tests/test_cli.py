@@ -303,7 +303,8 @@ class TestChunk:
         pixels = np.zeros((128, 128, 3), dtype=np.uint8)
         with open(path, "wb") as f:
             write_frame_tensor_to(
-                f, (EncodedFrame(pixels, None, None, i, i + 1, i % 4 > 0) for i in range(200))
+                f, (EncodedFrame(pixels, None, None, i, i + 1, i % 4 > 0) for i in range(200)),
+                (128, 128, 3),
             )
         assert path.stat().st_size > 9_000_000
         code, peak = traced_peak("chunk", path, "--policy", "drop_all_empty_chunks", "-o", manifest)
@@ -320,7 +321,8 @@ class TestChunk:
         pixel = np.zeros((1, 1, 1), dtype=np.uint8)
         with open(path, "wb") as f:
             write_frame_tensor_to(
-                f, (EncodedFrame(pixel, None, None, i, i + 1, e) for i, e in enumerate(empty))
+                f, (EncodedFrame(pixel, None, None, i, i + 1, e) for i, e in enumerate(empty)),
+                (1, 1, 1),
             )
         code, peak = traced_peak("chunk", path, "--policy", "drop_all_empty_chunks", "-o", manifest)
         assert code == 0
@@ -595,6 +597,23 @@ class TestSimulate:
         assert peak < 8 << 20
         expected = simulate(values + 1.0, np.arange(64) * 1000, SimConfig())
         assert out.read_text() == write_text(expected)
+
+    def test_memory_holds_one_int64_per_frame_time(self, tmp_path, capsys):
+        # 100,000 two-channel 1x1 frames, refused after the prefix pass: a list
+        # of their times takes 800 kB in slots and 2.8 MB in ints, an int64 array 800 kB.
+        tensor = tmp_path / "in.evfr"
+        n = 100_000
+        prefix = struct.Struct("<qqBH")  # the prefix and the two pixel bytes
+        tensor.write_bytes(
+            struct.pack("<4sBIIII", b"EVFR", 1, 1, 1, 2, n)
+            + b"".join(prefix.pack(i, i + 1, 0, 0) for i in range(n))
+        )
+        code, peak = traced_peak("simulate", tensor, tmp_path / "out.txt")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "evframes: simulate needs 1-channel intensity frames, got 2 channels\n"
+        )
+        assert peak < 2 << 20
 
     def test_single_frame_is_data_error(self, tmp_path, capsys):
         tensor = tmp_path / "in.evfr"

@@ -217,6 +217,22 @@ class TestQuantize:
     def test_zero_scale_gives_zeros(self):
         assert quantize(np.ones((2, 2)), 0.0).sum() == 0
 
+    @pytest.mark.parametrize("value,v_max", [(5.0, 1.0), (-1.0, 1.0), (7.5, 7.0), (-0.5, 4.0)])
+    def test_value_outside_zero_to_v_max_is_refused(self, value, v_max):
+        # A uint8 cast would wrap these: 5.0 of 1.0 would give 251.
+        with pytest.raises(ValueError, match=rf"^quantize needs values in \[0, {v_max}\]$"):
+            quantize(np.array([0.0, value]), v_max)
+
+    @pytest.mark.parametrize(
+        "value,v_max",
+        [(math.nan, 1.0), (math.nan, 0.0), (0.5, math.nan), (math.inf, 1.0), (math.inf, math.inf)],
+    )
+    def test_nan_or_infinite_value_is_refused(self, value, v_max):
+        with pytest.raises(
+            ValueError, match=r"^quantize needs finite values and a v_max that is not NaN$"
+        ):
+            quantize(np.array([[0.25, value]]), v_max)
+
     def test_max_maps_to_255(self):
         assert quantize(np.array([[7.0]]), 7.0)[0, 0] == 255
 

@@ -155,7 +155,7 @@ class TestFrameTensor:
     def test_streamed_write_rejects_later_shape_mismatch(self):
         frames = make_frames(2) + make_frames(1, shape=(4, 3, 3))
         with pytest.raises(ValueError, match=r"^frame 2: shape \(4, 3, 3\) does not match \(3, 4, 3\)$"):
-            write_frame_tensor_to(io.BytesIO(), iter(frames))
+            write_frame_tensor_to(io.BytesIO(), iter(frames), (3, 4, 3))
 
 
 def as_row(frame):
@@ -289,11 +289,11 @@ class TestWriterEquivalence:
     """The in-memory and the streaming writer give the same bytes for the same input."""
 
     CASES = {
-        "generator": (lambda: (f for f in make_frames(4)), None),
+        "generator": (lambda: (f for f in make_frames(4)), (3, 4, 3)),
         "read_only_views": (lambda: read_frame_tensor(write_frame_tensor(make_frames(3))).frames,
-                            None),
-        "non_contiguous": (lambda: reversed_columns(3), None),
-        "zero_size_frames": (lambda: make_frames(3, shape=(0, 3, 1)), None),
+                            (3, 4, 3)),
+        "non_contiguous": (lambda: reversed_columns(3), (3, 4, 3)),
+        "zero_size_frames": (lambda: make_frames(3, shape=(0, 3, 1)), (0, 3, 1)),
         "empty_with_shape": (lambda: [], (3, 4, 3)),
     }
 
@@ -313,7 +313,7 @@ class TestWriterEquivalence:
         with pytest.raises(ValueError, match=message):
             write_frame_tensor(make_frames(3))
         with pytest.raises(ValueError, match=message):
-            write_frame_tensor_to(io.BytesIO(), make_frames(3))
+            write_frame_tensor_to(io.BytesIO(), make_frames(3), (3, 4, 3))
 
     @pytest.mark.parametrize(
         "start,end",
@@ -328,7 +328,20 @@ class TestWriterEquivalence:
         with pytest.raises(ValueError, match=message):
             write_frame_tensor(frames)
         with pytest.raises(ValueError, match=message):
-            write_frame_tensor_to(io.BytesIO(), frames)
+            write_frame_tensor_to(io.BytesIO(), frames, (3, 4, 3))
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_both_writers_refuse_pixels_that_are_not_uint8(self, index):
+        # Cast to uint8, 300.7 and -1.0 would wrap to 44 and 255.
+        frames = make_frames(2)
+        pixels = np.full((3, 4, 3), 300.7)
+        pixels[0, 0, 0] = -1.0
+        frames[index] = EncodedFrame(pixels, None, None, 0, 1, False)
+        message = rf"^frame {index}: pixels must be uint8, got float64$"
+        with pytest.raises(ValueError, match=message):
+            write_frame_tensor(frames)
+        with pytest.raises(ValueError, match=message):
+            write_frame_tensor_to(io.BytesIO(), frames, (3, 4, 3))
 
     def test_both_writers_check_shapes_in_frame_order(self, monkeypatch):
         monkeypatch.setattr(formats, "MAX_FRAME_COUNT", 2)
@@ -337,7 +350,7 @@ class TestWriterEquivalence:
         with pytest.raises(ValueError, match=message):
             write_frame_tensor(frames)
         with pytest.raises(ValueError, match=message):
-            write_frame_tensor_to(io.BytesIO(), frames)
+            write_frame_tensor_to(io.BytesIO(), frames, (3, 4, 3))
 
 
 @st.composite

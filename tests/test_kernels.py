@@ -130,7 +130,7 @@ class TestLoopVsNumpy:
         deep[0][1:, 1, 2] += [5.13, 0.9]
         everything = scene_events(*deep, 0.2)
         assert sum(t <= 2000 and (x, y) == (2, 1) for t, x, y, _ in everything) >= 20
-        for refractory in (0.0, 120.0, 1500.0):
+        for refractory in (0, 120, 1500):
             for log_frames, times in [random_scene(rng) for _ in range(10)] + [deep]:
                 expected = scene_events(log_frames, times, 0.2, refractory)
                 assert generated_events(log_frames, times, 0.2, refractory) == sorted(

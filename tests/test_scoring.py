@@ -236,3 +236,28 @@ class TestScoreVector:
     def test_prediction_refuses_scores_that_are_not_numbers(self):
         with pytest.raises(ValueError):
             VideoPrediction("ab", 1)
+
+    @pytest.mark.parametrize("label", [5, 1, -1])
+    def test_prediction_label_must_index_a_class(self, label):
+        with pytest.raises(ValueError, match=rf"^label must lie in range\(1\), got {label}$"):
+            VideoPrediction([0.3], label)
+
+    def test_prediction_label_is_a_python_int(self):
+        with pytest.raises(ValueError, match=r"^label must be an integer, got 1.0$"):
+            VideoPrediction([0.3, 0.7], 1.0)
+        p = VideoPrediction([0.3, 0.7], np.int64(1))
+        assert type(p.label) is int and p.label == 1
+
+    @pytest.mark.parametrize(
+        "means,message",
+        [
+            (np.zeros((2, 2)), "scores must be a non-empty vector"),
+            ([], "scores must be a non-empty vector"),
+            ([0.3, np.inf], "scores must be finite"),
+        ],
+        ids=["2d", "empty", "infinite"],
+    )
+    def test_prediction_checks_its_means_as_a_score_vector_does(self, means, message):
+        for build in (ScoreVector, VideoPrediction):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(means, 0)

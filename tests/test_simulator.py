@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -224,6 +225,18 @@ class TestValidation:
     def test_refractory_must_be_non_negative(self):
         with pytest.raises(ValueError, match="refractory"):
             SimConfig(0.2, refractory_period_us=-1)
+
+    @pytest.mark.parametrize("period", [1.5, math.nan, "500"])
+    def test_refractory_must_be_an_integer(self, period):
+        # A NaN period compared false with everything, and so turned the gate off.
+        with pytest.raises(ValueError, match=(
+            rf"^refractory_period_us must be an integer, got {re.escape(repr(period))}$"
+        )):
+            SimConfig(0.2, period)
+
+    def test_refractory_is_stored_as_a_python_int(self):
+        config = SimConfig(0.2, np.int64(500))
+        assert type(config.refractory_period_us) is int and config.refractory_period_us == 500
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError, match="two frames"):

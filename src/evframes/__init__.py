@@ -24,8 +24,9 @@ _EXPORTS = {
         "quantize", "timestamp_field",
     ),
     "formats": (
-        "FormatError", "FrameTensor", "FrameTensorReader", "parse_scores", "read_frame_tensor",
-        "write_frame_tensor", "write_frame_tensor_to", "write_pnm", "write_scores",
+        "FormatError", "FrameTensor", "FrameTensorReader", "ScoreTableReader", "parse_scores",
+        "read_frame_tensor", "write_frame_tensor", "write_frame_tensor_to", "write_pnm",
+        "write_scores",
     ),
     "ingest": (
         "AedatReader", "TextReader", "parse_aedat2", "parse_aedat2_stats", "parse_text",
@@ -36,7 +37,7 @@ _EXPORTS = {
         "DVS128_LAYOUT", "KIND_EVENT_COUNT", "KIND_TIMESTAMP", "POLARITY_IGNORE",
         "POLARITY_MERGED", "AedatLayout", "SensorGeometry",
     ),
-    "scoring": ("ScoreVector", "VideoPrediction", "temporal_average_pool"),
+    "scoring": ("ScoreVector", "VideoPrediction", "pool_in_chunk_order", "temporal_average_pool"),
     "simulator": ("SimConfig", "simulate"),
     "stream": ("EventStream", "truncate_blocks", "truncate_by_ratio"),
     "windowing": ("EventWindow", "WindowConfig", "segment"),

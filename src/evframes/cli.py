@@ -15,16 +15,17 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 from .chunking import POLICIES, POLICY_KEEP, select_chunks
-from .formats import FrameTensorReader, parse_scores, write_frame_tensor_to, write_pnm
+from .formats import FrameTensorReader, ScoreTableReader, write_frame_tensor_to, write_pnm
 from .options import (
     DAVIS240C_GEOMETRY, DAVIS240C_LAYOUT, DEFAULT_WINDOW_US, DVS128_GEOMETRY, DVS128_LAYOUT,
     KIND_TIMESTAMP, KINDS, POLARITY_CHANNELS, POLARITY_MERGED, SensorGeometry,
 )
-from .scoring import temporal_average_pool
+from .scoring import pool_in_chunk_order
 
 if TYPE_CHECKING:
     from .ingest import AedatReader, TextReader
@@ -179,15 +180,13 @@ def cmd_chunk(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    """Pool the table in one pass over its rows, and read it again only if a class sum overflows."""
     with open(args.scores, newline="", encoding="utf-8", errors="surrogateescape") as f:
-        vectors, class_names = parse_scores(f.read())
-    prediction = temporal_average_pool(vectors, class_names=class_names)
-    lines = [
-        "mean_scores: " + " ".join(map(repr, prediction.values)),
-        f"label: {prediction.label}",
-    ]
-    if prediction.label_name is not None:
-        lines.append(f"label_name: {prediction.label_name}")
+        table = ScoreTableReader(f)
+        mean, label = pool_in_chunk_order(table)
+    lines = ["mean_scores: " + " ".join(map(repr, mean)), f"label: {label}"]
+    if table.class_names is not None:
+        lines.append(f"label_name: {table.class_names[label]}")
     _emit((line + "\n" for line in lines), args.output)
     return 0
 
@@ -210,7 +209,7 @@ def cmd_simulate(args) -> int:
         log_frames = (np.log(frame.pixels[:, :, 0] + 1.0) for frame in tensor.frames())
         config = SimConfig(args.threshold, args.refractory_us)
         blocks = simulate_intervals(log_frames, times, config)
-        _emit((text for block in blocks for text in text_slices(block)), args.output)
+        _emit(chain.from_iterable(map(text_slices, blocks)), args.output)
     return 0
 
 
@@ -220,7 +219,8 @@ def cmd_truncate(args) -> int:
 
     with _open_blocks(args) as reader:
         heads = truncate_blocks(reader, args.ratio)  # input errors come before the output opens
-        _emit((text for head in heads for text in text_slices(head)), args.output)
+        # chain and map, unlike a loop variable, hold no head while the next is read.
+        _emit(chain.from_iterable(map(text_slices, heads)), args.output)
     return 0
 
 
@@ -238,6 +238,7 @@ def cmd_info(args) -> int:
             events += len(block)
             positive += int(np.count_nonzero(block.p == 1))
             negative += int(np.count_nonzero(block.p == -1))
+            block = None  # not held while the next block is read
     g = reader.geometry
     lines = [f"geometry: {g.width}x{g.height}", f"events: {events}"]
     if events:

@@ -258,6 +258,8 @@ def _encode_blocks(blocks, T: int, kind: str, polarity_mode: str) -> Iterator[En
             else:
                 yield encode_window(_close(geometry, pieces, start, T), kind, polarity_mode)
             pieces, buffered, folding = [], 0, False
+        # A piece may view a whole block; none is held while _pieces reads the next.
+        piece = columns = None
 
 
 _NO_TICK = -(1 << 63)  # the int64 minimum

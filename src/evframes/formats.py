@@ -29,8 +29,9 @@ prefix and seeks past the pixels. Every prefix either reader reads is
 unpacked, and its empty flag checked, by one function.
 
 Score tables are one CSV-ish text line per chunk with a '#' header naming K
-(and optionally the class labels). Images are written as binary PGM
-(1 channel) or PPM (3 channels).
+(and optionally the class labels). :class:`ScoreTableReader` reads one a
+row at a time, and :func:`parse_scores` is the list of its rows. Images
+are written as binary PGM (1 channel) or PPM (3 channels).
 
 :class:`FormatError` is the error of every reader of malformed input, here
 and in ``ingest``. Reading prefixes and score tables needs no numpy; the
@@ -45,7 +46,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 from .scoring import ScoreVector
 
@@ -298,45 +299,64 @@ def write_scores(vectors: Sequence[ScoreVector], class_names: Sequence[str] | No
     return "\n".join(lines) + "\n"
 
 
+class ScoreTableReader:
+    """Read a score table one row at a time, as a ScoreVector per data line.
+
+    ``f`` is a seekable text file opened with ``newline=""``; its lines end
+    as ``str.splitlines()`` ends them. Each iteration starts again at the
+    first line and checks UTF-8, the header, a constant score count per line
+    and strictly increasing chunk indices, in line order; errors carry
+    1-based line numbers. A table with no header is refused at its end.
+    ``class_names`` is the header's (None without ``classes=``), set when
+    the header is read.
+    """
+
+    def __init__(self, f: TextIO):
+        self._f = f
+        self.class_names = None
+
+    def __iter__(self) -> Iterator[ScoreVector]:
+        self._f.seek(0)
+        self.class_names = None
+        lines = (line for piece in self._f for line in piece.splitlines())
+        k = last_index = None
+        for lineno, raw in enumerate(lines, start=1):
+            if not raw.isascii():
+                _check_utf8(raw, lineno)
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if k is None:
+                    k, self.class_names = _parse_score_header(line, lineno)
+                continue
+            if k is None:
+                raise FormatError(f"line {lineno}: expected '# k=...' header before data")
+            fields = line.split(",")
+            if len(fields) != k + 1:
+                raise FormatError(f"line {lineno}: expected {k} scores, got {len(fields) - 1}")
+            try:
+                index = int(fields[0])
+                vector = ScoreVector([float(s) for s in fields[1:]], index)
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
+            if last_index is not None and index <= last_index:
+                raise FormatError(
+                    f"line {lineno}: chunk index {index} not greater than previous {last_index}"
+                )
+            last_index = index
+            yield vector
+        if k is None:
+            raise FormatError("score file has no '# k=...' header")
+
+
 def parse_scores(text: str) -> tuple[list[ScoreVector], list[str] | None]:
     """Parse a score table; returns the vectors and the class names, if any.
 
-    Enforces UTF-8, the header, a constant score count per line, and strictly
-    increasing chunk indices. Errors carry 1-based line numbers.
+    The rows and their checks are :class:`ScoreTableReader`'s.
     """
-    k = None
-    class_names = None
-    vectors: list[ScoreVector] = []
-    last_index = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.isascii():
-            _check_utf8(raw, lineno)
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if k is None:
-                k, class_names = _parse_score_header(line, lineno)
-            continue
-        if k is None:
-            raise FormatError(f"line {lineno}: expected '# k=...' header before data")
-        fields = line.split(",")
-        if len(fields) != k + 1:
-            raise FormatError(f"line {lineno}: expected {k} scores, got {len(fields) - 1}")
-        try:
-            index = int(fields[0])
-            vector = ScoreVector([float(s) for s in fields[1:]], index)
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if last_index is not None and index <= last_index:
-            raise FormatError(
-                f"line {lineno}: chunk index {index} not greater than previous {last_index}"
-            )
-        last_index = index
-        vectors.append(vector)
-    if k is None:
-        raise FormatError("score file has no '# k=...' header")
-    return vectors, class_names
+    table = ScoreTableReader(io.StringIO(text, newline=""))
+    return list(table), table.class_names
 
 
 def _parse_score_header(line: str, lineno: int) -> tuple[int, list[str] | None]:

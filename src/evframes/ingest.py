@@ -117,6 +117,8 @@ class AedatReader:
         self._last_raw = self._last_tick = self._bad_coordinate = None
         # Each block is decoded in a call of its own and handed on without a
         # name, so none of its arrays outlives it while the next is decoded.
+        # That binds its consumers too: each lets go of a block, and of every
+        # view of it, before it asks for the next.
         blocks = (self._decode(base) for base in range(0, self.records, _BLOCK_RECORDS))
         yield from filter(None, blocks)
         if self._bad_coordinate is not None:

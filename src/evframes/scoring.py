@@ -6,6 +6,11 @@ floating-point result is bit-reproducible regardless of input order. A class
 whose sum overflows float64 has its mean taken over scores scaled down by
 their largest magnitude instead, so every mean is finite. The
 predicted label is the argmax with lowest-index tie-break.
+:func:`pool_in_chunk_order` is that rule, over vectors already in
+chunk-index order: it holds one vector and K running sums, and reads the
+vectors a second time only for an overflowing class's scores.
+:func:`temporal_average_pool` sorts its vectors into it; ``evframes
+aggregate`` feeds it a ``formats.ScoreTableReader``, whose rows ascend.
 
 Vectors and predictions store their scores once, as a tuple of Python
 floats in ``values``, and build a new float64 array from it on each read of
@@ -16,7 +21,7 @@ need no numpy unless a class's sum overflows.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .options import as_int
 
@@ -92,29 +97,46 @@ def _finite_floats(scores) -> tuple[float, ...]:
 
 
 def temporal_average_pool(
-    vectors: Sequence[ScoreVector], class_names: Sequence[str] | None = None
+    vectors: Iterable[ScoreVector], class_names: Sequence[str] | None = None
 ) -> VideoPrediction:
     """Average score vectors over chunks and pick the argmax label.
 
-    All vectors must share the same length K; the offending chunk_index is
-    named otherwise. An empty sequence is an error.
+    The vectors are sorted by chunk index and pooled by
+    :func:`pool_in_chunk_order`. All must share the same length K; the
+    offending chunk_index is named otherwise. An empty sequence is an error.
     """
-    if len(vectors) == 0:
-        raise ValueError("no chunks to aggregate")
-    ordered = sorted(vectors, key=lambda v: v.chunk_index)
-    rows = [v.values for v in ordered]
-    k = len(rows[0])
-    for v, row in zip(ordered, rows):
-        if len(row) != k:
+    mean, label = pool_in_chunk_order(sorted(vectors, key=lambda v: v.chunk_index))
+    if class_names is not None and len(class_names) != len(mean):
+        raise ValueError(f"got {len(class_names)} class names for {len(mean)} classes")
+    name = class_names[label] if class_names is not None else None
+    return VideoPrediction(mean, label, name)
+
+
+def pool_in_chunk_order(vectors: Iterable[ScoreVector]) -> tuple[list[float], int]:
+    """The class-wise mean of score vectors given in chunk-index order, and its argmax.
+
+    One pass keeps a running sum per class, from 0.0. Only when a class's
+    sum overflows is vectors gone through again, for that class's scores,
+    so an iterable given here must give the same vectors twice. The label is
+    the lowest index of the largest mean. Raises ValueError when there are
+    no vectors, or on the first vector whose length is not the first's.
+    """
+    total = None
+    n = 0
+    for v in vectors:
+        row = v.values
+        if total is None:
+            k = len(row)
+            total = [0.0] * k
+        elif len(row) != k:
             raise ValueError(
                 f"chunk {v.chunk_index}: score vector has {len(row)} classes, expected {k}"
             )
-    if class_names is not None and len(class_names) != k:
-        raise ValueError(f"got {len(class_names)} class names for {k} classes")
-    total = [0.0] * k
-    for row in rows:
         total = [a + b for a, b in zip(total, row)]  # an overflow gives inf, not an error
-    mean = [s / len(rows) for s in total]
+        n += 1
+    if total is None:
+        raise ValueError("no chunks to aggregate")
+    mean = [s / n for s in total]
     over = [i for i, m in enumerate(mean) if not math.isfinite(m)]
     if over:
         import numpy as np
@@ -122,11 +144,12 @@ def temporal_average_pool(
         # The scores are finite, so only the sum overflowed. Scaled by each
         # class's largest magnitude, the scores sum to at most n in
         # magnitude, so neither the sum nor the mean overflows.
-        scores = np.array([[row[i] for i in over] for row in rows])
+        scores = np.fromiter(
+            (v.values[i] for v in vectors for i in over), np.float64, n * len(over)
+        ).reshape(n, len(over))
         scale = np.abs(scores).max(axis=0)
-        rescaled = (scores / scale).sum(axis=0) / len(rows) * scale
+        rescaled = (scores / scale).sum(axis=0) / n * scale
         for i, m in zip(over, rescaled.tolist()):
             mean[i] = m
     label = max(range(k), key=mean.__getitem__)  # max keeps the lowest index on ties
-    name = class_names[label] if class_names is not None else None
-    return VideoPrediction(mean, label, name)
+    return mean, label

@@ -119,6 +119,7 @@ def truncate_blocks(blocks: Iterable[EventStream], ratio: float) -> Iterator[Eve
     for block in filter(len, blocks):
         t_first = block.t_first if t_first is None else t_first
         t_last = block.t_last
+        block = None  # not held while the next block is read
     if t_first is None:
         raise ValueError("cannot truncate empty stream")
     if not (0.0 < ratio <= 1.0):
@@ -131,5 +132,6 @@ def truncate_blocks(blocks: Iterable[EventStream], ratio: float) -> Iterator[Eve
             yield EventStream(b.geometry, b.x[:n], b.y[:n], b.t[:n], b.p[:n])
             if n < len(b):
                 return
+            b = None
 
     return heads()

@@ -416,6 +416,76 @@ class TestAggregate:
         assert capsys.readouterr().out.endswith("label: 1\nlabel_name: th\u00e9\n")
 
 
+# Score tables and what `evframes aggregate` made of them before it read
+# tables a row at a time: (id, bytes, exit code, stdout, error message or "").
+AGGREGATE_PARITY = [
+    ("bad-header", b"# k=zero\n0,1,2\n", 1, "", "line 1: bad k value 'zero'"),
+    ("no-k", b"# classes=a,b\n", 1, "", "line 1: header must declare k=<positive count>"),
+    ("short-row", b"# k=3\n0,0.1,0.2,0.3\n1,0.5\n", 1, "", "line 3: expected 3 scores, got 1"),
+    ("long-row", b"# k=1\n0,0.1,0.2\n", 1, "", "line 2: expected 1 scores, got 2"),
+    ("nan", b"# k=2\n0,0.5,0.5\n1,nan,0.5\n", 1, "", "line 3: scores must be finite"),
+    ("inf", b"# k=2\n0,inf,0.5\n", 1, "", "line 2: scores must be finite"),
+    ("bad-float", b"# k=2\n0,0.5,abc\n", 1, "",
+     "line 2: could not convert string to float: 'abc'"),
+    ("bad-index", b"# k=1\nx,0.5\n", 1, "",
+     "line 2: invalid literal for int() with base 10: 'x'"),
+    ("non-ascending", b"# k=2\n3,0.1,0.2\n5,0.1,0.2\n4,0.3,0.3\n", 1, "",
+     "line 4: chunk index 4 not greater than previous 5"),
+    ("repeated-index", b"# k=2\n3,0.1,0.2\n3,0.1,0.2\n", 1, "",
+     "line 3: chunk index 3 not greater than previous 3"),
+    ("invalid-utf8-data", b"# k=2\n0,0.5,0.5\n1,0.5\xe9,0.5\n", 1, "", "line 3: not valid UTF-8"),
+    ("invalid-utf8-comment", b"# k=2\n0,0.5,0.5\n# caf\xe9\n", 1, "", "line 3: not valid UTF-8"),
+    ("invalid-utf8-first", b"\xff\n# k=2\n", 1, "", "line 1: not valid UTF-8"),
+    ("crlf-vt", b"# k=2 classes=a,b\r\n0,0.25,0.75\x0b1,0.5,0.5\r\n\r2,0.125,0.0\r", 0,
+     "mean_scores: 0.2916666666666667 0.4166666666666667\nlabel: 1\nlabel_name: b\n", ""),
+    ("other-breaks", b"# k=1\x1c0,1.5\xe2\x80\xa81,2.5\xc2\x85\x0c2,-1.0\n", 0,
+     "mean_scores: 1.0\nlabel: 0\n", ""),
+    ("empty", b"", 1, "", "score file has no '# k=...' header"),
+    ("blank-lines", b"\n \n\t\n", 1, "", "score file has no '# k=...' header"),
+    ("huge-k", b"# k=1000000000000\n", 1, "", "no chunks to aggregate"),
+    ("huge-k-row", b"# k=1000000000000\n0,1.0\n", 1, "",
+     "line 2: expected 1000000000000 scores, got 1"),
+    ("only-comments", b"# k=2\n# note\n#\n", 1, "", "no chunks to aggregate"),
+    ("data-before-header", b"\n0,0.9,0.1\n# k=2\n", 1, "",
+     "line 2: expected '# k=...' header before data"),
+    ("class-count", b"# k=2 classes=a\n0,1,2\n", 1, "", "line 1: 1 class names for k=2"),
+    ("class-names",
+     b"# k=3 classes=walk,run,caf\xc3\xa9\n0,0.1,0.2,0.3\n2,0.3,0.1,0.9\n7,0.5,0.05,0.5\n", 0,
+     "mean_scores: 0.3 0.11666666666666668 0.5666666666666667\nlabel: 2\nlabel_name: caf\u00e9\n",
+     ""),
+    ("second-header-ignored", b"# k=2\n0,1,2\n# k=3 classes=a,b,c\n1,3,4\n", 0,
+     "mean_scores: 2.0 3.0\nlabel: 1\n", ""),
+    ("tie", b"# k=3\n0,0.5,0.25,0.5\n", 0, "mean_scores: 0.5 0.25 0.5\nlabel: 0\n", ""),
+    ("negative-zero", b"# k=1\n0,-0.0\n", 0, "mean_scores: 0.0\nlabel: 0\n", ""),
+    ("negative-zero-2", b"# k=2\n-4,-0.0,-5e-324\n0,-0.0,0.0\n", 0,
+     "mean_scores: 0.0 -0.0\nlabel: 0\n", ""),
+    ("negative-indices", b"# k=2\n-9,0.1,0.3\n-2,0.7,0.2\n5,0.2,0.2\n", 0,
+     "mean_scores: 0.3333333333333333 0.2333333333333333\nlabel: 0\n", ""),
+    # Classes x and z overflow, so the table is read twice.
+    ("overflow",
+     b"# k=3 classes=x,y,z\n0,1.5e308,0.1,-1.7e308\n1,1.5e308,0.2,-1.7e308\n"
+     b"2,1.6e308,0.3,-1.0e308\n", 0,
+     "mean_scores: 1.5333333333333334e+308 0.20000000000000004 -1.4666666666666666e+308\n"
+     "label: 0\nlabel_name: x\n", ""),
+    ("overflow-then-bad", b"# k=2\n0,1.5e308,1.7e308\n1,1.5e308,1.7e308\n2,0.5\n", 1, "",
+     "line 4: expected 2 scores, got 1"),
+    ("spaces", b"  # k=2   classes=p,q  \n  0 , 0.5 , 0.25 \n\t1,0.5,0.75\t\n", 0,
+     "mean_scores: 0.5 0.5\nlabel: 0\nlabel_name: p\n", ""),
+]
+
+
+class TestAggregateParity:
+    @pytest.mark.parametrize(
+        "data,code,out,err", [pytest.param(*case[1:], id=case[0]) for case in AGGREGATE_PARITY]
+    )
+    def test_output_error_and_exit_code(self, tmp_path, capsys, data, code, out, err):
+        scores = tmp_path / "scores.txt"
+        scores.write_bytes(data)
+        assert run("aggregate", scores) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, f"evframes: {err}\n" if err else "")
+
+
 class TestWithoutNumpy:
     """`import evframes`, `--help`, `chunk` and `aggregate` never import numpy.
 

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from evframes.cli import main
 from evframes.formats import write_scores
-from evframes.scoring import ScoreVector, VideoPrediction, temporal_average_pool
+from evframes.scoring import (
+    ScoreVector, VideoPrediction, pool_in_chunk_order, temporal_average_pool,
+)
 
 from tests.oracles import temporal_average_pool_numpy
 
@@ -182,6 +184,37 @@ class TestOnePoolingRule:
         assert total / len(col) * scale != temporal_average_pool_numpy(
             [ScoreVector([v], i) for i, v in enumerate(PAIRWISE_COLUMN)]
         )[0][0]
+
+
+class Passes:
+    """Re-iterable vectors that count the passes made over them."""
+
+    def __init__(self, vectors):
+        self.vectors, self.count = vectors, 0
+
+    def __iter__(self):
+        self.count += 1
+        return iter(self.vectors)
+
+
+class TestPoolInChunkOrder:
+    @pytest.mark.parametrize(
+        "rows,passes,pooled",
+        [
+            ([[0.5, 1.0], [0.25, 2.0]], 1, ([0.375, 1.5], 1)),
+            ([[1.5e308, 1.0], [1.5e308, 2.0]], 2, ([1.5e308, 1.5], 0)),
+        ],
+        ids=["finite", "overflow"],
+    )
+    def test_a_second_pass_only_for_an_overflowing_class(self, rows, passes, pooled):
+        vectors = Passes([ScoreVector(r, i) for i, r in enumerate(rows)])
+        assert pool_in_chunk_order(vectors) == pooled
+        assert vectors.count == passes
+
+    def test_sums_start_from_positive_zero(self):
+        # A sum started from the first row would keep its -0.0.
+        (mean,), _ = pool_in_chunk_order([ScoreVector([-0.0], 0)])
+        assert repr(mean) == "0.0"
 
 
 class TestScoreVector:

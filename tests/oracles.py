@@ -1,19 +1,23 @@
-"""Plain-Python loops that the vectorized paths are tested against, the
-stream invariant checker, and the per-event view the tests read streams by."""
+"""The suite's one statement of each reference: plain-Python loops the vectorized paths are
+tested against, the stream invariant checker, and the per-event and per-block views the tests
+read streams by. Only the acceptance criteria keep their own, so that each stands alone."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from evframes.encoders import encode_window
+from evframes.encoders import (
+    KIND_EVENT_COUNT, KIND_TIMESTAMP, POLARITY_MERGED, encode_window, quantize
+)
 from evframes.ingest import FormatError
 from evframes.stream import MAX_TIMESTAMP_US, EventStream
 from evframes.windowing import segment
 
 
 def events(stream):
-    """The stream's events as a list of (x, y, t, p) int tuples."""
+    """A stream's or window's events as a list of (x, y, t, p) int tuples."""
     return list(zip(stream.x.tolist(), stream.y.tolist(), stream.t.tolist(), stream.p.tolist()))
 
 
@@ -24,6 +28,16 @@ def stream_of(geometry, tuples):
         return EventStream(geometry, [], [], [], [])
     arr = np.asarray(ev, dtype=np.int64)
     return EventStream(geometry, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+
+
+def split(stream, cuts):
+    """The stream as consecutive blocks, cut before each event index in the sorted cuts;
+    a repeated cut, or one at 0 or len(stream), makes an empty block."""
+    bounds = [0, *cuts, len(stream)]
+    return [
+        EventStream(stream.geometry, stream.x[a:b], stream.y[a:b], stream.t[a:b], stream.p[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -65,26 +79,57 @@ def validate_stream(stream: EventStream) -> list[Violation]:
     return out
 
 
-def count_field_loop(x, y, width, height):
-    """Events per pixel."""
-    out = np.zeros((height, width), dtype=np.int64)
-    for i in range(x.shape[0]):
-        out[y[i], x[i]] += 1
-    return out
-
-
 def encode_per_window(stream, config, kind, mode):
     """Every window of ``segment`` scattered by ``encode_window``, none folded."""
     return [encode_window(w, kind, mode) for w in segment(stream, config)]
 
 
-def last_timestamp_loop(x, y, t, width, height):
-    """Latest event time per pixel; -1 marks pixels with no events."""
-    out = np.full((height, width), -1, dtype=np.int64)
-    for i in range(x.shape[0]):
-        if t[i] > out[y[i], x[i]]:
-            out[y[i], x[i]] = t[i]
-    return out
+def loop_field(window, kind, polarity=None):
+    """A window's (H, W) float64 field, one event at a time, as the README defines it.
+
+    count: a pixel's events. timestamp: its latest event time t_n as (t_n - t_begin) /
+    (t_end - t_begin) over the whole window, 1.0 if t_end == t_begin. polarity +1 or -1
+    keeps that sign only. The quotient is float64's, of the differences rounded to float64
+    as numpy divides int64, so that past 2**53 us of span, where exact division of the
+    ints differs by an ulp, the library is held to the arithmetic it does.
+    """
+    g = window.geometry
+    field = np.zeros((g.height, g.width))
+    latest = {}
+    for x, y, t, p in events(window):
+        if polarity is not None and p != polarity:
+            continue
+        if kind == KIND_EVENT_COUNT:
+            field[y, x] += 1
+        else:
+            latest[y, x] = max(t, latest.get((y, x), t))
+    if latest:
+        t_begin, span = window.t_begin, window.t_end - window.t_begin
+        for (y, x), t in latest.items():
+            field[y, x] = float(t - t_begin) / float(span) if span else 1.0
+    return field
+
+
+def loop_frame(window, kind, polarity_mode):
+    """A window's uint8 pixels from loop fields: a channel per polarity, one shared scale."""
+    polarities = (1, -1) if polarity_mode == POLARITY_MERGED else (None,)
+    fields = [loop_field(window, kind, p) for p in polarities]
+    v_max = 1.0 if kind == KIND_TIMESTAMP else max(float(f.max()) for f in fields)
+    g = window.geometry
+    pixels = np.zeros((g.height, g.width, 3 if polarity_mode == POLARITY_MERGED else 1), np.uint8)
+    for c, field in enumerate(fields):
+        pixels[..., c] = quantize(field, v_max)
+    return pixels
+
+
+def quantize_exact(field, v_max):
+    """round(255 * v / v_max), half up, in exact rationals; zeros if v_max <= 0."""
+    values = np.asarray(field, dtype=np.float64)
+    if v_max <= 0:
+        return np.zeros(values.shape, np.uint8)
+    half = Fraction(1, 2)
+    exact = [math.floor(255 * Fraction(v) / Fraction(v_max) + half) for v in values.flat]
+    return np.array(exact, np.uint8).reshape(values.shape)
 
 
 def scalar_pixel_events(levels, times, threshold, refractory_us=0.0):

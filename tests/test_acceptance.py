@@ -41,7 +41,7 @@ from evframes.simulator import SimConfig, simulate
 from evframes.stream import DVS128_GEOMETRY, EventStream, SensorGeometry
 from evframes.windowing import EventWindow, WindowConfig, segment
 
-from tests.oracles import events
+from tests.oracles import events, scalar_pixel_events
 
 
 SCORECARD: list[str] = []
@@ -143,10 +143,25 @@ def oracle_sensor_walk(levels, times, threshold, refractory_us=0.0):
             level = ref + direction * k * threshold
             t_cross = times[f] + (level - l0) * inv_slope
             if refractory_us <= 0 or t_cross - last_emit >= refractory_us:
-                out.append((int(math.floor(t_cross + 0.5)), 1 if direction > 0 else -1))
+                # Never before the interval's first frame (README).
+                t_out = max(int(math.floor(t_cross + 0.5)), int(times[f]))
+                out.append((t_out, 1 if direction > 0 else -1))
                 last_emit = t_cross
         ref += direction * n_cross * threshold
     return out
+
+
+def test_sensor_walk_never_emits_before_its_interval():
+    # 84 -> 53 is seven thresholds down, but float64 counts six in the first interval. The
+    # seventh falls a hair before the second's first frame and rounds to 2**52 - 1 unclamped.
+    intensities = np.array([84.0, 53.0, 12.0])
+    times = [0, 2**52, 2**53]
+    c = abs(math.log(53) - math.log(84)) / 7
+    walk = oracle_sensor_walk(np.log(intensities), times, c)
+    assert walk[6] == (2**52, -1)
+    assert walk == scalar_pixel_events(np.log(intensities).tolist(), times, c)
+    stream = simulate(intensities.reshape(3, 1, 1), times, SimConfig(c))
+    assert [(t, p) for _, _, t, p in events(stream)] == walk
 
 
 # ---------------------------------------------------------------------------

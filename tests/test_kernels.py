@@ -18,14 +18,7 @@ from evframes.encoders import (
 from evframes.simulator import SimConfig, simulate, simulate_intervals
 from evframes.stream import EventStream, SensorGeometry
 from evframes.windowing import EventWindow, WindowConfig, segment
-from tests.oracles import count_field_loop, last_timestamp_loop, scene_events
-
-
-def random_events(rng, n, width, height):
-    x = rng.integers(0, width, size=n, dtype=np.int32)
-    y = rng.integers(0, height, size=n, dtype=np.int32)
-    t = np.sort(rng.integers(0, 1_000_000, size=n)).astype(np.int64)
-    return x, y, t
+from tests.oracles import loop_field, loop_frame, scene_events
 
 
 def random_scene(rng, n_frames=6, height=8, width=9):
@@ -35,38 +28,11 @@ def random_scene(rng, n_frames=6, height=8, width=9):
 
 
 def random_window(rng, n, width, height):
-    x, y, t = random_events(rng, n, width, height)
+    x = rng.integers(0, width, size=n, dtype=np.int32)
+    y = rng.integers(0, height, size=n, dtype=np.int32)
+    t = np.sort(rng.integers(0, 1_000_000, size=n)).astype(np.int64)
     p = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
     return EventWindow(SensorGeometry(width, height), x, y, t, p, 0, 1_000_000)
-
-
-def loop_field(window, kind, polarity):
-    """A window's field from the loop kernels, normalized as the encoders define it."""
-    g = window.geometry
-    keep = np.ones(len(window), dtype=bool) if polarity is None else window.p == polarity
-    x, y, t = window.x[keep], window.y[keep], window.t[keep]
-    if kind == KIND_EVENT_COUNT:
-        return count_field_loop(x, y, g.width, g.height).astype(np.float64)
-    last = last_timestamp_loop(x, y, t, g.width, g.height)
-    field = np.zeros((g.height, g.width))
-    active = last >= 0
-    if window.t_begin == window.t_end:
-        field[active] = 1.0
-    else:
-        field[active] = (last[active] - window.t_begin) / (window.t_end - window.t_begin)
-    return field
-
-
-def loop_frame(window, kind, polarity_mode):
-    """A window's uint8 pixels from loop fields: channel per polarity, shared scale."""
-    polarities = (1, -1) if polarity_mode == POLARITY_MERGED else (None,)
-    fields = [loop_field(window, kind, p) for p in polarities]
-    v_max = 1.0 if kind == KIND_TIMESTAMP else max(float(f.max()) for f in fields)
-    g = window.geometry
-    pixels = np.zeros((g.height, g.width, 3 if polarity_mode == POLARITY_MERGED else 1), np.uint8)
-    for c, field in enumerate(fields):
-        pixels[..., c] = quantize(field, v_max)
-    return pixels
 
 
 class TestLoopVsNumpy:

@@ -1,5 +1,6 @@
-"""The package's export list, and the README's examples run against it."""
+"""The package's export list, its imports, and the README's examples run against it."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -90,6 +91,24 @@ def test_parse_counts_live_on_the_reader():
     assert "ParseStats" not in evframes.__all__
     assert not hasattr(evframes.ingest, "ParseStats")
     assert not hasattr(evframes.AedatReader, "stats")
+
+
+def test_package_imports_itself_only_relatively():
+    # Two trees of the package can then be imported side by side under two names.
+    sources = sorted(Path(evframes.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    absolute = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "evframes" for name in names):
+                absolute.append(f"{source.name}:{node.lineno}")
+    assert absolute == []
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from evframes.stream import (
     truncate_by_ratio,
 )
 
-from tests.oracles import events, stream_of, validate_stream
+from tests.oracles import events, split, stream_of, validate_stream
 
 
 def make_stream(evs, geometry=DVS128_GEOMETRY):
@@ -32,6 +32,9 @@ class TestEventStream:
         s = stream_of(DVS128_GEOMETRY, [])
         assert len(s) == 0
         assert events(s) == []
+        for end in ("first", "last"):
+            with pytest.raises(ValueError, match=f"^empty stream has no {end} timestamp$"):
+                getattr(s, f"t_{end}")
 
     def test_indexing_returns_events(self):
         s = make_stream([(2, 18, 100, -1), (5, 7, 200, 1)])
@@ -186,14 +189,6 @@ class CountingBlocks:
             yield block
 
 
-def split(stream, bounds):
-    """The stream's blocks between consecutive event indices in bounds."""
-    return [
-        EventStream(stream.geometry, stream.x[a:b], stream.y[a:b], stream.t[a:b], stream.p[a:b])
-        for a, b in zip(bounds, bounds[1:])
-    ]
-
-
 def ticks_stream(t):
     """A DVS-128 stream with the given ticks, one event per column of row 3."""
     n = len(t)
@@ -207,10 +202,9 @@ def blocked_streams(draw):
     t = sorted(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40)))
     n = len(t)
     stream = ticks_stream(t)
-    cuts = draw(st.lists(st.integers(0, n), max_size=6))  # repeated cuts make empty blocks
-    bounds = [0, *sorted(cuts), n]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))  # repeats make empty blocks
     span = t[-1] - t[0]
-    edge = t[draw(st.sampled_from(bounds[1:])) - 1] - t[0]  # the last event of some block
+    edge = t[draw(st.sampled_from([*cuts, n])) - 1] - t[0]  # the last event of some block
     ratio = draw(
         st.one_of(
             st.just(1.0),
@@ -218,7 +212,7 @@ def blocked_streams(draw):
             st.just(edge / span if edge else 1.0),
         )
     )
-    return stream, split(stream, bounds), ratio
+    return stream, split(stream, cuts), ratio
 
 
 # ratio * span is 4030.9999999999995 here, below the offset 4031 of tick 4137;
@@ -229,7 +223,7 @@ ROUNDED_UP = ticks_stream([106, 106, 106, 106, 4137, 4978])
 class TestTruncateBlocks:
     @settings(max_examples=300, deadline=None)
     @given(blocked_streams())
-    @example((ROUNDED_UP, split(ROUNDED_UP, [0, 5, 6]), 4031 / 4872))
+    @example((ROUNDED_UP, split(ROUNDED_UP, [5]), 4031 / 4872))
     def test_join_equals_whole_stream_truncation(self, case):
         stream, blocks, ratio = case
         counting = CountingBlocks(blocks)
@@ -250,7 +244,7 @@ class TestTruncateBlocks:
 
     def test_cut_at_a_block_edge_reads_one_block_past_it(self):
         s = make_stream([(0, 0, t, 1) for t in (0, 50, 60, 100, 100)])
-        counting = CountingBlocks(split(s, [0, 2, 2, 4, 5]))
+        counting = CountingBlocks(split(s, [2, 2, 4]))
         heads = list(truncate_blocks(counting, 0.5))
         assert [list(h.t) for h in heads] == [[0, 50], [], []]
         assert counting.reads == [4, 3]

@@ -9,7 +9,7 @@ from evframes.encoders import KIND_TIMESTAMP, POLARITY_MERGED, encode_blocks
 from evframes.stream import DVS128_GEOMETRY, EventStream, truncate_by_ratio
 from evframes.windowing import EventWindow, WindowConfig, segment
 
-from tests.oracles import encode_per_window, stream_of
+from tests.oracles import encode_per_window, split, stream_of
 
 from .test_stream import make_stream, random_stream
 
@@ -145,15 +145,6 @@ class TestSegment:
     def test_windows_share_stream_geometry(self):
         s = make_stream([(0, 0, 0, 1)])
         assert segment(s, WindowConfig())[0].geometry == s.geometry
-
-
-def split(stream, cuts):
-    """The stream as consecutive blocks, cut before the given event indices."""
-    bounds = [0, *cuts, len(stream)]
-    return [
-        EventStream(stream.geometry, stream.x[a:b], stream.y[a:b], stream.t[a:b], stream.p[a:b])
-        for a, b in zip(bounds, bounds[1:])
-    ]
 
 
 class TestSegmentBlocks:

@@ -48,21 +48,19 @@ def make_chunks(frames: Sequence[EncodedFrame]) -> list[Chunk]:
     error.
     """
     ranges = select_chunks([f.empty for f in frames])
-    if len({(f.pixels.shape, f.kind, f.polarity_mode) for f in frames}) > 1:
-        first = frames[0]
-        for i, f in enumerate(frames[1:], start=1):
-            if f.pixels.shape != first.pixels.shape:
-                (h, w, c), (h0, w0, c0) = f.pixels.shape, first.pixels.shape
-                raise ValueError(
-                    f"frame {i}: shape {w}x{h}x{c} does not match frame 0 ({w0}x{h0}x{c0})"
-                )
-            if f.kind != first.kind:
-                raise ValueError(f"frame {i}: kind {f.kind!r} does not match {first.kind!r}")
-            if f.polarity_mode != first.polarity_mode:
-                raise ValueError(
-                    f"frame {i}: polarity mode {f.polarity_mode!r} does not match "
-                    f"{first.polarity_mode!r}"
-                )
+    for i, f in enumerate(frames[1:], start=1):
+        if f.pixels.shape != frames[0].pixels.shape:
+            (h, w, c), (h0, w0, c0) = f.pixels.shape, frames[0].pixels.shape
+            raise ValueError(
+                f"frame {i}: shape {w}x{h}x{c} does not match frame 0 ({w0}x{h0}x{c0})"
+            )
+        if f.kind != frames[0].kind:
+            raise ValueError(f"frame {i}: kind {f.kind!r} does not match {frames[0].kind!r}")
+        if f.polarity_mode != frames[0].polarity_mode:
+            raise ValueError(
+                f"frame {i}: polarity mode {f.polarity_mode!r} does not match "
+                f"{frames[0].polarity_mode!r}"
+            )
     return [Chunk(tuple(frames[r.start : r.stop]), r[-1]) for r in ranges]
 
 

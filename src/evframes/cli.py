@@ -201,9 +201,9 @@ def cmd_simulate(args) -> int:
         tensor = FrameTensorReader(f)
         # The prefix pass checks every empty flag before the checks below.
         times = np.fromiter((s for s, _, _ in tensor.prefixes()), np.int64, tensor.frame_count)
-        if tensor.channels != 1:
+        if tensor.shape[2] != 1:
             raise ValueError(
-                f"simulate needs 1-channel intensity frames, got {tensor.channels} channels"
+                f"simulate needs 1-channel intensity frames, got {tensor.shape[2]} channels"
             )
         check_frame_times(times, len(times))
         log_frames = (np.log(frame.pixels[:, :, 0] + 1.0) for frame in tensor.frames())

@@ -10,18 +10,19 @@ same-shaped 8-bit frames plus their window bounds:
         window_start  i64 little-endian, microseconds
         window_end    i64 little-endian, microseconds
         empty flag    1 byte (0 or 1)
-        pixels        width*height*channels bytes, row-major,
-                      channel-interleaved
+        pixels        height*width*channels bytes, row-major, channel-interleaved
 
 All sizes are implied by the header; a reader rejects files whose length
-does not match exactly. :func:`write_frame_tensor_to` streams: it takes
-the tensor's shape from its caller, writes the header with a frame_count
-of 0, then each frame as it arrives, and at the end seeks back to patch
-frame_count, so it holds one frame at a time. :func:`write_frame_tensor`
-has every frame in hand, so it packs the real count and joins header,
-prefixes and pixels into one bytes object sized once. Both check each
-frame's shape, uint8 pixels and bounds in one generator. Version 1 holds
-at most ``MAX_FRAME_COUNT`` frames.
+does not match exactly. The header stores width first, but a tensor's
+``shape`` is (height, width, channels) here, as a frame's ``pixels.shape``
+is: both writers take it so, and both readers give it so.
+:func:`write_frame_tensor_to` streams: it writes the header with a
+frame_count of 0, then each frame as it arrives, and at the end seeks back
+to rewrite the header with the real count, so it holds one frame at a time.
+:func:`write_frame_tensor` has every frame in hand, so it packs the real
+count and joins header, prefixes and pixels into one bytes object sized
+once. Both check the shape they are given, and each frame's shape, uint8
+pixels and bounds; version 1 holds at most ``MAX_FRAME_COUNT`` frames.
 :func:`read_frame_tensor` decodes bytes already in memory, and its frames
 are read-only views of them; :class:`FrameTensorReader` reads a file one
 frame at a time, and its ``prefixes()`` reads only each frame's 17-byte
@@ -61,9 +62,8 @@ FRAME_TENSOR_VERSION = 1
 MAX_FRAME_COUNT = (1 << 32) - 1
 
 _HEADER = struct.Struct("<4sBIIII")
-_COUNT = struct.Struct("<I")
-_COUNT_OFFSET = _HEADER.size - _COUNT.size  # frame_count ends the header
 _FRAME_PREFIX = struct.Struct("<qqB")
+_SHAPE = struct.Struct("<III")  # three frame sizes, each a u32 as in the header
 
 
 class FormatError(ValueError):
@@ -80,11 +80,9 @@ def _check_utf8(line: str, lineno: int) -> None:
 
 @dataclass
 class FrameTensor:
-    """Decoded frame-tensor file: geometry plus the frames in file order."""
+    """Decoded frame-tensor file: its (height, width, channels) shape and frames in file order."""
 
-    width: int
-    height: int
-    channels: int
+    shape: tuple[int, int, int]
     frames: list[EncodedFrame]
 
 
@@ -97,10 +95,9 @@ def write_frame_tensor(
     does; shape, if not given, is the first frame's.
     """
     frames = list(frames)
-    if shape is None:
-        if not frames:
-            raise ValueError("shape is required to write an empty frame tensor")
-        shape = frames[0].pixels.shape
+    if shape is None and not frames:
+        raise ValueError("shape is required to write an empty frame tensor")
+    shape = _tensor_shape(frames[0].pixels.shape if shape is None else shape)
     # Every frame is checked, in order, before the header is packed.
     body = [part for record in _frame_records(frames, shape) for part in record]
     return b"".join([_pack_header(shape, len(frames)), *body])
@@ -112,20 +109,27 @@ def write_frame_tensor_to(
     """Write frames to a seekable binary file as they arrive; return the frame count.
 
     shape is the tensor's (height, width, channels), which every frame must
-    match; kind and polarity mode are not recorded. The header goes out
-    first with a frame count of 0, patched once the frames are written.
+    match; kind and polarity mode are not recorded.
     """
+    shape = _tensor_shape(shape)
     start = f.tell()
     f.write(_pack_header(shape, 0))
     count = 0
-    for count, (prefix, pixels) in enumerate(_frame_records(frames, shape), start=1):
-        f.write(prefix)
-        f.write(pixels)
+    for count, record in enumerate(_frame_records(frames, shape), start=1):
+        f.writelines(record)
     end = f.tell()
-    f.seek(start + _COUNT_OFFSET)
-    f.write(_COUNT.pack(count))
+    f.seek(start)
+    f.write(_pack_header(shape, count))
     f.seek(end)
     return count
+
+
+def _tensor_shape(shape: Iterable[int]) -> tuple[int, int, int]:
+    """shape as a tuple of the three ints that the header's u32 size fields hold."""
+    try:
+        return _SHAPE.unpack(_SHAPE.pack(*shape))
+    except (TypeError, struct.error):
+        raise ValueError(f"frame tensor shape {shape!r} is not three sizes in 0..2**32-1") from None
 
 
 def _pack_header(shape: tuple[int, int, int], count: int) -> bytes:
@@ -166,19 +170,17 @@ def read_frame_tensor(data: bytes) -> FrameTensor:
 
     The frames' pixels are read-only views of data.
     """
-    width, height, channels, frame_count = _unpack_header(data, len(data))
-    body = memoryview(data)[_HEADER.size :]
-    frames = _decode_frames(body, frame_count, (height, width, channels))
-    return FrameTensor(width, height, channels, frames)
+    shape, n = _unpack_header(data, len(data))
+    return FrameTensor(shape, _decode_frames(memoryview(data)[_HEADER.size :], n, shape))
 
 
 class FrameTensorReader:
     """Read a frame-tensor file one frame, or one frame prefix, at a time.
 
-    ``f`` is a seekable binary file object positioned at the start of the
-    tensor. Construction reads the header and checks it, and the exact
-    length, as :func:`read_frame_tensor` does. Each iteration starts again
-    at the first frame and checks every empty flag it passes.
+    ``f`` is a seekable binary file at the start of the tensor. Construction
+    reads ``shape`` and ``frame_count`` from the header and checks them and
+    the exact length as :func:`read_frame_tensor` does. Each iteration starts
+    again at the first frame and checks every empty flag it passes.
     """
 
     def __init__(self, f: BinaryIO):
@@ -186,17 +188,16 @@ class FrameTensorReader:
         start = f.tell()
         header = f.read(_HEADER.size)
         size = f.seek(0, io.SEEK_END) - start
-        self.width, self.height, self.channels, self.frame_count = _unpack_header(header, size)
+        self.shape, self.frame_count = _unpack_header(header, size)
         self._body = start + _HEADER.size
-        self._frame_bytes = self.height * self.width * self.channels
+        self._frame_bytes = math.prod(self.shape)
 
     def frames(self) -> Iterator[EncodedFrame]:
         """Yield each frame; its pixels are read-only and are read when it is reached."""
-        shape = (self.height, self.width, self.channels)
         self._f.seek(self._body)
         for i in range(self.frame_count):
             buf = self._read(_FRAME_PREFIX.size + self._frame_bytes, i)
-            yield from _decode_frames(buf, 1, shape, i)
+            yield from _decode_frames(buf, 1, self.shape, i)
 
     def prefixes(self) -> Iterator[tuple[int, int, bool]]:
         """Yield each frame's (window_start, window_end, empty), skipping its pixels."""
@@ -212,8 +213,8 @@ class FrameTensorReader:
         return buf
 
 
-def _unpack_header(header: bytes, size: int) -> tuple[int, int, int, int]:
-    """(width, height, channels, frame_count) from a header, checked against the file size."""
+def _unpack_header(header: bytes, size: int) -> tuple[tuple[int, int, int], int]:
+    """((height, width, channels), frame_count) from a header, checked against the file size."""
     if size < _HEADER.size:
         raise FormatError(f"frame tensor header needs {_HEADER.size} bytes, got {size}")
     magic, version, width, height, channels, frame_count = _HEADER.unpack_from(header)
@@ -230,7 +231,7 @@ def _unpack_header(header: bytes, size: int) -> tuple[int, int, int, int]:
     # Zero-size frames pass the length check whatever their other dimensions.
     if math.prod(d for d in (frame_count, height, width, channels) if d) > sys.maxsize:
         raise FormatError(f"{frame_count} frames of {height}x{width}x{channels} are too large")
-    return width, height, channels, frame_count
+    return (height, width, channels), frame_count
 
 
 def _decode_frames(

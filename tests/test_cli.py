@@ -115,7 +115,7 @@ class TestEncode:
         assert run("encode", src, out, "--geometry", "16x16") == 0
         tensor = read_frame_tensor(out.read_bytes())
         assert len(tensor.frames) == 4
-        assert (tensor.width, tensor.height, tensor.channels) == (16, 16, 3)
+        assert tensor.shape == (16, 16, 3)
 
     @pytest.mark.parametrize("window_us,expected", [(20000, 13), (50000, 6), (80000, 4)])
     def test_window_length_flag(self, tmp_path, window_us, expected):
@@ -132,7 +132,7 @@ class TestEncode:
         assert run("encode", src, out, "--geometry", "8x4") == 0
         tensor = read_frame_tensor(out.read_bytes())
         assert tensor.frames == []
-        assert (tensor.width, tensor.height) == (8, 4)
+        assert tensor.shape == (4, 8, 3)
 
     @pytest.mark.parametrize("polarity,channels", [("merged", 3), ("ignore", 1)])
     def test_empty_input_tensor_has_the_polarity_modes_channels(self, tmp_path, polarity, channels):
@@ -147,7 +147,7 @@ class TestEncode:
         write_events(src, ["0 1 1 1", "10 1 1 -1"])
         out = tmp_path / "frames.evfr"
         assert run("encode", src, out, "--geometry", "4x4", "--polarity", "ignore") == 0
-        assert read_frame_tensor(out.read_bytes()).channels == 1
+        assert read_frame_tensor(out.read_bytes()).shape == (4, 4, 1)
 
     def test_count_kind_records_counts(self, tmp_path):
         src = tmp_path / "ev.txt"
@@ -252,7 +252,7 @@ class TestEncode:
         out = tmp_path / "frames.evfr"
         assert run("encode", src, out) == 0
         tensor = read_frame_tensor(out.read_bytes())
-        assert (tensor.width, tensor.height) == (128, 128)
+        assert tensor.shape == (128, 128, 3)
         assert len(tensor.frames) == 1
 
 

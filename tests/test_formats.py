@@ -42,7 +42,7 @@ class TestFrameTensor:
         frames = make_frames(5)
         data = write_frame_tensor(frames)
         tensor = read_frame_tensor(data)
-        assert (tensor.width, tensor.height, tensor.channels) == (4, 3, 3)
+        assert tensor.shape == (3, 4, 3)
         assert len(tensor.frames) == 5
         for orig, back in zip(frames, tensor.frames):
             assert np.array_equal(back.pixels, orig.pixels)
@@ -73,7 +73,7 @@ class TestFrameTensor:
         data = write_frame_tensor([], shape=(6, 8, 3))
         tensor = read_frame_tensor(data)
         assert tensor.frames == []
-        assert (tensor.height, tensor.width, tensor.channels) == (6, 8, 3)
+        assert tensor.shape == (6, 8, 3)
         with pytest.raises(ValueError, match="shape is required"):
             write_frame_tensor([])
 
@@ -195,7 +195,7 @@ class TestFrameTensorReader:
         f = io.BytesIO(b"prefix" + data)
         f.seek(6)
         reader = FrameTensorReader(f)
-        assert (reader.width, reader.height, reader.channels, reader.frame_count) == (4, 3, 3, n)
+        assert (reader.shape, reader.frame_count) == ((3, 4, 3), n)
         tensor = read_frame_tensor(data)
         for _ in range(2):  # each iteration starts again at the first frame
             assert list(reader.frames()) == tensor.frames
@@ -342,6 +342,35 @@ class TestWriterEquivalence:
             write_frame_tensor(frames)
         with pytest.raises(ValueError, match=message):
             write_frame_tensor_to(io.BytesIO(), frames, (3, 4, 3))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [[3, 4, 3], np.array([3, 4, 3]), (np.int64(3), np.uint32(4), 3)],
+        ids=["list", "array", "numpy_ints"],
+    )
+    def test_both_writers_take_a_shape_as_any_three_sizes(self, shape):
+        frames = make_frames(2)
+        expected = packed_by_hand(frames, (3, 4, 3))
+        assert write_frame_tensor(frames, shape) == expected
+        f = io.BytesIO()
+        assert write_frame_tensor_to(f, frames, shape) == 2
+        assert f.getvalue() == expected
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 4, -1), (3, 4, 2**32), (3, 4), (3, 4, 3, 1), (3.0, 4, 3), "343", 3],
+        ids=["negative", "above_u32", "two", "four", "float", "text", "int"],
+    )
+    def test_both_writers_refuse_a_shape_that_is_not_three_u32_sizes(self, shape, n):
+        with pytest.raises(ValueError) as whole:
+            write_frame_tensor(make_frames(n), shape)
+        f = io.BytesIO()
+        with pytest.raises(ValueError) as streamed:
+            write_frame_tensor_to(f, make_frames(n), shape)
+        message = f"frame tensor shape {shape!r} is not three sizes in 0..2**32-1"
+        assert str(whole.value) == str(streamed.value) == message
+        assert f.getvalue() == b""  # refused before the header is written
 
     def test_both_writers_check_shapes_in_frame_order(self, monkeypatch):
         monkeypatch.setattr(formats, "MAX_FRAME_COUNT", 2)

@@ -1,6 +1,8 @@
 """The package's export list, its imports, and the README's examples run against it."""
 
 import ast
+import dataclasses
+import io
 import re
 import types
 from pathlib import Path
@@ -66,10 +68,20 @@ def test_streams_are_read_as_columns_only():
 
 
 def test_one_name_for_a_frame_shape_an_empty_stream_and_the_count_kind():
-    # A frame's shape is pixels.shape, an empty stream is the constructor's,
+    # A frame's shape is pixels.shape, a frame tensor's is the shape of its
+    # frames as both readers give it, an empty stream is the constructor's,
     # and the library and the CLI spell the count kind alike.
+    frame = evframes.EncodedFrame(np.zeros((2, 3, 1), np.uint8), None, None, 0, 1, False)
+    data = evframes.write_frame_tensor([frame])
+    tensor = evframes.read_frame_tensor(data)
+    reader = evframes.FrameTensorReader(io.BytesIO(data))
+    assert [field.name for field in dataclasses.fields(evframes.FrameTensor)] == ["shape", "frames"]
+    assert tensor.shape == tensor.frames[0].pixels.shape == (2, 3, 1)
+    assert reader.shape == next(reader.frames()).pixels.shape == (2, 3, 1)
     for name in ("height", "width", "channels"):
         assert not hasattr(evframes.EncodedFrame, name)
+        assert not hasattr(tensor, name)
+        assert not hasattr(reader, name)
     assert not hasattr(evframes.EventStream, "empty")
     assert not hasattr(evframes.cli, "_KINDS")
     assert evframes.KIND_EVENT_COUNT == "count"

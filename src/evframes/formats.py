@@ -125,11 +125,21 @@ def write_frame_tensor_to(
 
 
 def _tensor_shape(shape: Iterable[int]) -> tuple[int, int, int]:
-    """shape as a tuple of the three ints that the header's u32 size fields hold."""
+    """shape as a tuple of the three ints that the header's u32 size fields hold.
+
+    The readers refuse a tensor whose non-zero sizes multiply past sys.maxsize,
+    so the writers refuse such a shape too, even for a tensor of no frames.
+    """
     try:
-        return _SHAPE.unpack(_SHAPE.pack(*shape))
+        sizes = _SHAPE.unpack(_SHAPE.pack(*shape))
     except (TypeError, struct.error):
-        raise ValueError(f"frame tensor shape {shape!r} is not three sizes in 0..2**32-1") from None
+        sizes = None
+    if sizes is None or math.prod(d for d in sizes if d) > sys.maxsize:
+        raise ValueError(
+            f"frame tensor shape {shape!r} is not three sizes in 0..2**32-1 "
+            "with a product of at most sys.maxsize"
+        )
+    return sizes
 
 
 def _pack_header(shape: tuple[int, int, int], count: int) -> bytes:

@@ -14,8 +14,11 @@ wrap, so output timestamps are monotone int64 microseconds. A record whose
 unwrapped tick would pass the int64 range is an error, found in each block
 before its backward ticks.
 
-AEDAT input is read in blocks of ``_BLOCK_RECORDS`` records by
-:class:`AedatReader`, so memory does not grow with the file. Each block is
+AEDAT input is read in blocks of ``_BLOCK_RECORDS`` (2**14) records, or
+128 KiB, by :class:`AedatReader`, so memory does not grow with the file.
+Blocks this small run as fast as larger ones only where the process keeps
+its heap top, as the ``evframes`` program does for its block-reading
+commands; the library never touches the allocator. Each block is
 decoded in a call of its own, with one buffer per column; the input bytes
 go once the address words are copied out. The previous
 record's tick and the wrap count carry across blocks, and error positions
@@ -30,9 +33,10 @@ count what it read.
 Text format: UTF-8, one event per line as ``t x y p`` (whitespace or
 commas), ``#`` comment lines skipped, polarity accepted as 1/-1/0 with 0
 read as -1.
-Text is read in blocks of ``_BLOCK_RECORDS`` events by :class:`TextReader`,
-in bounded memory; the previous timestamp and the line number carry across
-blocks. :func:`parse_text` reads a string through the same reader.
+Text is read in blocks of ``_BLOCK_RECORDS`` (2**14) events by
+:class:`TextReader`, in bounded memory; the previous timestamp and the line
+number carry across blocks. :func:`parse_text` reads a string through the
+same reader.
 :func:`write_text` builds its text from :func:`text_slices`, pieces of
 ``_TEXT_SLICE`` lines, which a writer can also write one at a time.
 """
@@ -56,11 +60,13 @@ _WRAP_JUMP = 1 << 31
 # C0 control characters other than tab, newline and CR
 _CONTROL = re.compile(rb"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
-# Records AedatReader decodes at a time (512 KiB of input), and events
-# TextReader parses at a time. Larger blocks cost more memory and ran no
-# faster; smaller ones cut the encode peak by 1-3 MB but ran slower, as more
-# windows were joined across blocks (ROADMAP, "Decided against").
-_BLOCK_RECORDS = 1 << 16
+# Records AedatReader decodes at a time (128 KiB of input), and events
+# TextReader parses at a time. On a 5M-event recording, 2**14-record blocks
+# took the encode peak from 32.6 to 31.7 MB against 2**16 in the same wall
+# time, in a process that keeps its heap top as the CLI does
+# (cli._pad_heap_top). Without the pad they ran slower than 2**16: each
+# freed block went back to the system and was faulted in again.
+_BLOCK_RECORDS = 1 << 14
 
 
 def parse_aedat2(data: bytes, layout: AedatLayout, geometry: SensorGeometry) -> EventStream:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evframes import formats, ingest
+from evframes import cli, formats, ingest
 from evframes.chunking import POLICIES
 from evframes.cli import main
 from evframes.encoders import KIND_EVENT_COUNT, POLARITY_MERGED, EncodedFrame
@@ -543,6 +543,45 @@ class TestWithoutNumpy:
         scores = tmp_path / "scores.txt"
         scores.write_text("# k=2\n0,1.5e308,1.7e308\n1,1.5e308,1.7e308\n")
         assert self.run_child("aggregate", scores) == (0, True)
+
+
+class TestHeapPad:
+    """Only the block-reading commands pad the heap top, and the others never load ctypes."""
+
+    def test_only_block_readers_pad(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_pad_heap_top", lambda: calls.append(True))
+        events, frames = tmp_path / "in.txt", tmp_path / "frames.evfr"
+        write_events(events, ["0 1 2 1", "10 3 4 -1"])
+        scores = tmp_path / "scores.txt"
+        scores.write_text("# k=2\n0,0.2,0.8\n")
+        for argv, pads in [
+            (["encode", events, frames], 1),
+            (["info", events], 1),
+            (["truncate", events, tmp_path / "head.txt", "--ratio", "0.5"], 1),
+            (["chunk", frames, "-o", tmp_path / "chunks.txt"], 0),
+            (["aggregate", scores, "-o", tmp_path / "prediction.txt"], 0),
+        ]:
+            calls.clear()
+            assert run(*argv) == 0
+            assert len(calls) == pads, argv
+
+    def test_lean_paths_never_load_ctypes(self, tmp_path):
+        frames, scores = tmp_path / "frames.evfr", tmp_path / "scores.txt"
+        pixel = np.zeros((1, 1, 1), dtype=np.uint8)
+        frames.write_bytes(write_frame_tensor([EncodedFrame(pixel, None, None, 0, 1, False)]))
+        scores.write_text("# k=2\n0,0.2,0.8\n")
+        report = "import atexit, sys; atexit.register(lambda: print('ctypes' in sys.modules)); "
+        for code in [
+            report + "import evframes",
+            *(report + f"import runpy; sys.argv[1:] = {list(map(str, argv))!r}; "
+              "runpy.run_module('evframes', run_name='__main__', alter_sys=True)"
+              for argv in (["--help"], ["chunk", frames], ["aggregate", scores])),
+        ]:
+            result = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, env=child_env(), timeout=60
+            )
+            assert result.stdout.decode().splitlines()[-1] == "False", code
 
 
 def test_score_layer_runs_without_numpy():

@@ -368,9 +368,32 @@ class TestWriterEquivalence:
         f = io.BytesIO()
         with pytest.raises(ValueError) as streamed:
             write_frame_tensor_to(f, make_frames(n), shape)
-        message = f"frame tensor shape {shape!r} is not three sizes in 0..2**32-1"
+        message = (f"frame tensor shape {shape!r} is not three sizes in 0..2**32-1 "
+                   "with a product of at most sys.maxsize")
         assert str(whole.value) == str(streamed.value) == message
         assert f.getvalue() == b""  # refused before the header is written
+
+    # Zero sizes do not count, and 2**31 * (2**32 - 1) is sys.maxsize - (2**31 - 1).
+    @pytest.mark.parametrize("shape", [(2**32 - 1, 2**32 - 1, 1), (2**31 + 1, 2**32 - 1, 0)])
+    def test_both_writers_refuse_a_shape_the_readers_refuse(self, shape):
+        # The readers refuse even an empty tensor of this shape as too large.
+        blob = struct.pack("<4sBIIII", b"EVFR", 1, shape[1], shape[0], shape[2], 0)
+        with pytest.raises(FormatError, match="too large"):
+            read_frame_tensor(blob)
+        with pytest.raises(ValueError, match="with a product of at most sys.maxsize$"):
+            write_frame_tensor([], shape)
+        f = io.BytesIO()
+        with pytest.raises(ValueError, match="with a product of at most sys.maxsize$"):
+            write_frame_tensor_to(f, [], shape)
+        assert f.getvalue() == b""
+
+    def test_both_writers_take_the_largest_shape_the_readers_take(self):
+        shape = (2**31, 2**32 - 1, 0)
+        blob = write_frame_tensor([], shape)
+        assert len(read_frame_tensor(blob).frames) == 0
+        f = io.BytesIO()
+        assert write_frame_tensor_to(f, [], shape) == 0
+        assert f.getvalue() == blob
 
     def test_both_writers_check_shapes_in_frame_order(self, monkeypatch):
         monkeypatch.setattr(formats, "MAX_FRAME_COUNT", 2)

@@ -9,9 +9,14 @@ open window, whose tail it would then rightly be.
 The guard runs each subcommand in a child on inputs of N and 8N items and
 reads the child's peak RSS through a small wrapper process, as
 ``perfbench/peak_rss.py`` does.
+
+The heap-layout guard runs ``encode`` at several output-name lengths: the
+page faults it takes must not follow the path's length.
 """
 
 import contextlib
+import ctypes
+import os
 import struct
 import subprocess
 import sys
@@ -193,3 +198,38 @@ def test_peak_rss_does_not_grow_with_the_input(tmp_path, command):
     small, large = (peak_rss_kib(*COMMANDS[command](tmp_path, n)) for n in (1, 8))
     # Peaks repeat to about 0.5 MiB; holding 7N more table rows would take 40 MiB.
     assert large - small < 3 << 10, (small, large)
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+def encode_minor_faults(src, out):
+    """The minor page faults of one `python -m evframes encode src out` child."""
+    argv = [sys.executable, "-m", "evframes", "encode", str(src), str(out), "--window-us", "80000"]
+    pid = os.posix_spawn(sys.executable, argv, child_env())
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no mallopt in the C library, so no heap pad")
+def test_encode_faults_do_not_follow_the_output_path(tmp_path):
+    # 786,432 uniform DVS-128 events, ~12 us apart. Without the CLI's heap
+    # pad, whether glibc gave a freed block back turned on where the path
+    # strings fell: over these eight names the faults spread x1.24-1.31 from
+    # three base directories, and x1.01-1.02 with the pad. At 2**19 events
+    # one of the three did not exceed x1.1.
+    n = 3 << 18
+    rng = np.random.default_rng(0)
+    records = np.empty((n, 2), dtype=">u4")
+    x, y, p = rng.integers(0, 128, n), rng.integers(0, 128, n), rng.integers(0, 2, n)
+    records[:, 0] = (x << 1) | (y << 8) | p
+    records[:, 1] = np.cumsum(rng.integers(0, 25, n))
+    src = tmp_path / "rec.aedat"
+    src.write_bytes(b"#!AER-DAT2.0\r\n" + records.tobytes())
+    faults = [encode_minor_faults(src, tmp_path / ("o" * k + ".evfr")) for k in range(1, 33, 4)]
+    assert max(faults) <= 1.1 * min(faults), faults

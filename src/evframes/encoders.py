@@ -34,9 +34,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .options import (
-    KIND_EVENT_COUNT, KIND_TIMESTAMP, KINDS, POLARITY_CHANNELS, POLARITY_IGNORE, POLARITY_MERGED,
+    KIND_EVENT_COUNT, KIND_TIMESTAMP, KINDS, POLARITY_CHANNELS, POLARITY_MERGED, SensorGeometry,
 )
-from .stream import EventStream, SensorGeometry
+from .stream import EventStream
 from .windowing import EventWindow, WindowConfig, _close, _pieces
 
 

@@ -50,9 +50,8 @@ from typing import BinaryIO, Iterator, TextIO
 import numpy as np
 
 from .formats import FormatError, _check_utf8
-# The layouts are defined with the other options and are also read from here.
-from .options import DAVIS240C_LAYOUT, DVS128_LAYOUT, AedatLayout  # noqa: F401
-from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
+from .options import AedatLayout, SensorGeometry
+from .stream import MAX_TIMESTAMP_US, EventStream
 
 _WRAP_STEP = 1 << 32
 _WRAP_JUMP = 1 << 31

@@ -3,9 +3,9 @@
 Sensor geometries and AEDAT address layouts (``--geometry``, ``--layout``),
 frame kinds, polarity modes and their channels (``--kind``, ``--polarity``)
 and the default window length (``--window-us``). The modules that use them
-(``stream``, ``ingest``, ``encoders``, ``windowing``) import them from here,
-so that the CLI can offer them, and shape a tensor, without numpy. ``as_int``
-is the one rule by which a configured size, index or period becomes an int.
+import them from here, and only from here, so that the CLI can offer them,
+and shape a tensor, without numpy. ``as_int`` is the one rule by which a
+configured size, index or period becomes an int.
 """
 
 from __future__ import annotations

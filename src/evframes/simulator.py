@@ -26,8 +26,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .options import as_int
-from .stream import EventStream, SensorGeometry
+from .options import SensorGeometry, as_int
+from .stream import EventStream
 
 # Crossing times are float64, which holds every integer microsecond up to 2**53.
 _MAX_TIME_US = 2**53

@@ -15,8 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# The geometries are defined with the other options and are also read from here.
-from .options import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry  # noqa: F401
+from .options import SensorGeometry
 
 # Largest timestamp (us) an int64 column, and the frame tensor's window edges, can hold.
 MAX_TIMESTAMP_US = (1 << 63) - 1

@@ -18,8 +18,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .formats import MAX_FRAME_COUNT
-from .options import DEFAULT_WINDOW_US, as_int
-from .stream import MAX_TIMESTAMP_US, EventStream, SensorGeometry
+from .options import DEFAULT_WINDOW_US, SensorGeometry, as_int
+from .stream import MAX_TIMESTAMP_US, EventStream
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,11 @@ from evframes.encoders import (
     timestamp_field,
 )
 from evframes.formats import read_frame_tensor, write_frame_tensor
-from evframes.ingest import DVS128_LAYOUT, parse_aedat2_stats, parse_text, write_text
+from evframes.ingest import parse_aedat2_stats, parse_text, write_text
+from evframes.options import DVS128_GEOMETRY, DVS128_LAYOUT, SensorGeometry
 from evframes.scoring import ScoreVector, temporal_average_pool
 from evframes.simulator import SimConfig, simulate
-from evframes.stream import DVS128_GEOMETRY, EventStream, SensorGeometry
+from evframes.stream import EventStream
 from evframes.windowing import EventWindow, WindowConfig, segment
 
 from tests.oracles import events, scalar_pixel_events

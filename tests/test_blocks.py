@@ -16,23 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evframes import ingest
-from evframes.encoders import (
+from evframes.encoders import encode_blocks, encode_stream
+from evframes.formats import write_frame_tensor, write_frame_tensor_to
+from evframes.ingest import AedatReader, FormatError, parse_aedat2_stats
+from evframes.options import (
+    DAVIS240C_GEOMETRY,
+    DAVIS240C_LAYOUT,
+    DVS128_GEOMETRY,
+    DVS128_LAYOUT,
     KIND_EVENT_COUNT,
     KIND_TIMESTAMP,
     POLARITY_IGNORE,
     POLARITY_MERGED,
-    encode_blocks,
-    encode_stream,
+    SensorGeometry,
 )
-from evframes.formats import write_frame_tensor, write_frame_tensor_to
-from evframes.ingest import (
-    DAVIS240C_LAYOUT,
-    DVS128_LAYOUT,
-    AedatReader,
-    FormatError,
-    parse_aedat2_stats,
-)
-from evframes.stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry
 from evframes.windowing import WindowConfig, segment
 
 from tests.oracles import encode_per_window

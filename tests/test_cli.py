@@ -24,10 +24,17 @@ from evframes.formats import (
     write_pnm,
     write_scores,
 )
-from evframes.ingest import DAVIS240C_LAYOUT, DVS128_LAYOUT, parse_aedat2, parse_text, write_text
+from evframes.ingest import parse_aedat2, parse_text, write_text
+from evframes.options import (
+    DAVIS240C_GEOMETRY,
+    DAVIS240C_LAYOUT,
+    DVS128_GEOMETRY,
+    DVS128_LAYOUT,
+    SensorGeometry,
+)
 from evframes.scoring import ScoreVector
 from evframes.simulator import SimConfig, simulate
-from evframes.stream import DAVIS240C_GEOMETRY, DVS128_GEOMETRY, SensorGeometry, truncate_by_ratio
+from evframes.stream import truncate_by_ratio
 from evframes.windowing import WindowConfig
 
 from tests.oracles import encode_per_window

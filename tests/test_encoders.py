@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from evframes.encoders import (
-    KIND_EVENT_COUNT,
-    KIND_TIMESTAMP,
-    POLARITY_IGNORE,
-    POLARITY_MERGED,
     EncodedFrame,
     encode_stream,
     encode_window,
@@ -15,6 +11,7 @@ from evframes.encoders import (
     quantize,
     timestamp_field,
 )
+from evframes.options import KIND_EVENT_COUNT, KIND_TIMESTAMP, POLARITY_IGNORE, POLARITY_MERGED
 from evframes.stream import MAX_TIMESTAMP_US, SensorGeometry
 from evframes.windowing import EventWindow, WindowConfig
 

@@ -5,16 +5,13 @@ import pytest
 
 from evframes import BACKEND
 from evframes.encoders import (
-    KIND_EVENT_COUNT,
-    KIND_TIMESTAMP,
-    POLARITY_IGNORE,
-    POLARITY_MERGED,
     encode_stream,
     encode_window,
     event_count_field,
     quantize,
     timestamp_field,
 )
+from evframes.options import KIND_EVENT_COUNT, KIND_TIMESTAMP, POLARITY_IGNORE, POLARITY_MERGED
 from evframes.simulator import SimConfig, simulate, simulate_intervals
 from evframes.stream import EventStream, SensorGeometry
 from evframes.windowing import EventWindow, WindowConfig, segment

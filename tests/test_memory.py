@@ -29,7 +29,8 @@ import pytest
 from evframes import cli, simulator
 from evframes.cli import main
 from evframes.encoders import encode_blocks
-from evframes.stream import DVS128_GEOMETRY, EventStream, SensorGeometry, truncate_blocks
+from evframes.options import DVS128_GEOMETRY, SensorGeometry
+from evframes.stream import EventStream, truncate_blocks
 from evframes.windowing import WindowConfig
 
 from tests.test_cli import child_env, davis_file, intensity_tensor

@@ -8,6 +8,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import evframes
 import evframes.cli
@@ -41,9 +42,8 @@ def test_lazy_names_resolve_as_imports_do():
     assert not hasattr(evframes, "no_such_name")
     # Names defined in options and formats are still read where they were defined before.
     for module, name in [
-        ("stream", "SensorGeometry"), ("stream", "DVS128_GEOMETRY"), ("ingest", "AedatLayout"),
-        ("ingest", "DAVIS240C_LAYOUT"), ("ingest", "FormatError"), ("encoders", "KINDS"),
-        ("encoders", "POLARITY_IGNORE"), ("windowing", "DEFAULT_WINDOW_US"),
+        ("stream", "SensorGeometry"), ("ingest", "AedatLayout"), ("ingest", "FormatError"),
+        ("encoders", "KINDS"), ("windowing", "DEFAULT_WINDOW_US"),
     ]:
         assert hasattr(getattr(evframes, module), name)
 
@@ -107,11 +107,22 @@ def test_parse_counts_live_on_the_reader():
 
 def test_package_imports_itself_only_relatively():
     # Two trees of the package can then be imported side by side under two names.
+    # A module imports from a sibling only the names it uses, annotations included,
+    # so that no module re-exports another's name and each name has one import path.
     sources = sorted(Path(evframes.__file__).parent.glob("*.py"))
     assert len(sources) > 1
-    absolute = []
+    absolute, unused = [], []
     for source in sources:
-        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                unused += [
+                    f"{source.name}:{alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name) not in used
+                ]
+                continue
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -121,6 +132,43 @@ def test_package_imports_itself_only_relatively():
             if any(name.split(".")[0] == "evframes" for name in names):
                 absolute.append(f"{source.name}:{node.lineno}")
     assert absolute == []
+    assert unused == []
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (
+            lambda: evframes.EncodedFrame(
+                np.zeros((2, 3, 1), np.uint8), "count", "ignore", 0, 1, False
+            ),
+            "EncodedFrame(3x2x1, count, ignore, [0, 1))",
+        ),
+        (
+            lambda: evframes.EventWindow(evframes.DVS128_GEOMETRY, [1], [2], [7], [1], 5, 80005),
+            "EventWindow([5, 80005), 1 events)",
+        ),
+        (
+            lambda: evframes.EventWindow(evframes.DVS128_GEOMETRY, [], [], [], [], 0, 1),
+            "EventWindow([0, 1), 0 events, empty)",
+        ),
+        (
+            lambda: evframes.EventStream(evframes.SensorGeometry(4, 3), [1], [2], [7], [1]),
+            "EventStream(1 events, 4x3)",
+        ),
+        (
+            lambda: evframes.ScoreVector([0.5, 1.0], 3),
+            "ScoreVector(scores=array([0.5, 1. ]), chunk_index=3)",
+        ),
+        (
+            lambda: evframes.VideoPrediction([0.5, 1.0], 1, "x"),
+            "VideoPrediction(mean_scores=array([0.5, 1. ]), label=1, label_name='x')",
+        ),
+    ],
+)
+def test_reprs(make, text):
+    # Sizes print as width x height (x channels), so a non-square shape pins the order.
+    assert repr(make()) == text
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):

@@ -4,13 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evframes.ingest import FormatError
-from evframes.stream import (
-    DVS128_GEOMETRY,
-    EventStream,
-    SensorGeometry,
-    truncate_blocks,
-    truncate_by_ratio,
-)
+from evframes.options import DVS128_GEOMETRY, SensorGeometry
+from evframes.stream import EventStream, truncate_blocks, truncate_by_ratio
 
 from tests.oracles import events, split, stream_of, validate_stream
 

@@ -6,7 +6,8 @@ import pytest
 
 from evframes import windowing
 from evframes.encoders import KIND_TIMESTAMP, POLARITY_MERGED, encode_blocks
-from evframes.stream import DVS128_GEOMETRY, EventStream, truncate_by_ratio
+from evframes.options import DVS128_GEOMETRY
+from evframes.stream import EventStream, truncate_by_ratio
 from evframes.windowing import EventWindow, WindowConfig, segment
 
 from tests.oracles import encode_per_window, split, stream_of
